@@ -11,9 +11,12 @@ Candidate spaces are enumerated, never searched heuristically, so a size
 guard refuses jobs above a configurable cap. The csi path avoids per-candidate
 Python work by factoring typicality over communities: intra blocks depend on
 one community's assignment, inter blocks on a pair, so per-community
-permutations are enumerated once and combined through boolean masks. The
-resulting decisions agree bit-for-bit with `is_jointly_typical` because every
-cell count is compared through the same float expression.
+permutations are enumerated once and combined through boolean masks. Inter
+block counts for all permutation pairs come from matrix products with one-hot
+permutation tables (one product pair per cell with both symbols >= 1, the
+other cells from marginal totals). Every count is checked against the integer
+window `typicality.count_windows` derives from the float expression of
+`is_jointly_typical`, so the decisions agree with it bit for bit.
 
 Canonical member order everywhere is lexicographic by the inverse mapping
 (label -> anonymized vertex), which both enumeration orders produce directly;
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Optional
 
@@ -33,7 +37,7 @@ import numpy as np
 from .errors import EmptyAmbiguitySetError, ParameterError, SizeGuardError
 from .graphgen import MatchingInstance, _philox
 from .permutation import Labeling, Permutation
-from .typicality import blocks_jointly_typical, default_epsilon, paired_blocks
+from .typicality import blocks_jointly_typical, count_windows, default_epsilon, paired_blocks
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
 _SELECT_TAG = 0x9E1B
@@ -84,6 +88,21 @@ class _CsiGrid:
     candidate_space: int
 
 
+@lru_cache(maxsize=None)
+def _perm_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lex-order permutations of range(k), (R, k), and their one-hot table.
+
+    The one-hot table E, (R, k*k) float32, has E[r, q*k + rho_r(q)] = 1.
+    Both are shared between callers and threads, hence read-only.
+    """
+    perms = np.asarray(list(permutations(range(k))), dtype=np.intp)
+    onehot = np.zeros((len(perms), k * k), dtype=np.float32)
+    onehot[np.arange(len(perms))[:, None], np.arange(k) * k + perms] = 1.0
+    perms.setflags(write=False)
+    onehot.setflags(write=False)
+    return perms, onehot
+
+
 def _intra_mask(g1: np.ndarray, g2: np.ndarray, labels: np.ndarray, verts: np.ndarray,
                 perms: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
     k = len(labels)
@@ -93,55 +112,79 @@ def _intra_mask(g1: np.ndarray, g2: np.ndarray, labels: np.ndarray, verts: np.nd
     xv = g1[labels[s1], labels[s2]]
     b = g2[np.ix_(verts, verts)]
     gathered = b[perms[:, s1], perms[:, s2]]  # (R, S)
-    slots = len(s1)
+    lo, hi = count_windows(p, eps, len(s1))
     l = p.shape[0]
     ok = np.ones(len(perms), dtype=bool)
     for x in range(l):
         on_x = xv == x
         for y in range(l):
             cnt = ((gathered == y) & on_x[None, :]).sum(axis=1)
-            ok &= np.abs(cnt / slots - p[x, y]) <= eps
+            ok &= (cnt >= lo[x, y]) & (cnt <= hi[x, y])
     return ok
+
+
+# Float32 elements of one (R_i, chunk) count array in _inter_mask.
+_INTER_CHUNK = 1 << 20
 
 
 def _inter_mask(g1: np.ndarray, g2: np.ndarray,
                 labels_i: np.ndarray, labels_j: np.ndarray,
                 verts_i: np.ndarray, verts_j: np.ndarray,
-                perms_i: np.ndarray, perms_j: np.ndarray,
                 p: np.ndarray, eps: float) -> np.ndarray:
     """Typicality mask of one inter block over all (rho_i, rho_j) pairs.
 
-    Counts only the cells with both symbols >= 1 via bilinear forms
-    sum_{q1,q2} 1{A=x} 1{B[rho_i(q1), rho_j(q2)]=y}; the remaining cells
-    follow from the permutation-invariant marginal totals.
+    A cell with both symbols >= 1 counts
+    sum_{q1,q2} 1{A[q1,q2]=x} 1{B[rho_i(q1), rho_j(q2)]=y}
+    = (E_i @ kron(1{A=x}, 1{B=y}) @ E_j^T)[rho_i, rho_j] with the one-hot
+    tables E of `_perm_tables`; every product and partial sum is a small
+    integer, so float32 is exact. The remaining cells follow from the
+    permutation-invariant marginal totals. rho_j is processed in chunks so
+    no more than a few (R_i, chunk) count arrays are alive at once.
     """
     a = g1[np.ix_(labels_i, labels_j)]
     b = g2[np.ix_(verts_i, verts_j)]
-    ki, kj = a.shape
-    slots = ki * kj
+    k_i, k_j = a.shape
+    slots = k_i * k_j
     l = p.shape[0]
-    ri, rj = len(perms_i), len(perms_j)
-    rowsum = [(a == x).sum() for x in range(l)]
-    colsum = [(b == y).sum() for y in range(l)]
-    ax = [(a == x).astype(float) for x in range(l)]
-    by = [(b == y).astype(float) for y in range(l)]
-    qrows = np.arange(ki)[None, :]
-    counts = np.zeros((l, l, ri, rj))
-    for r in range(rj):
-        cols = perms_j[r]
-        for y in range(1, l):
-            bp = by[y][:, cols]
-            for x in range(1, l):
-                m = ax[x] @ bp.T  # m[q1, p1] = sum_q2 1{a[q1,q2]=x} 1{b[p1, rho_j(q2)]=y}
-                counts[x, y, :, r] = m[qrows, perms_i].sum(axis=1)
-    hot = counts[1:, 1:]
-    counts[1:, 0] = np.asarray(rowsum[1:]).reshape(-1, 1, 1) - hot.sum(axis=1)
-    counts[0, 1:] = np.asarray(colsum[1:]).reshape(-1, 1, 1) - hot.sum(axis=0)
-    counts[0, 0] = slots - sum(rowsum[1:]) - sum(colsum[1:]) + hot.sum(axis=(0, 1))
-    ok = np.ones((ri, rj), dtype=bool)
+    _, e_i = _perm_tables(k_i)
+    _, e_j = _perm_tables(k_j)
+    ri, rj = len(e_i), len(e_j)
+    lo, hi = count_windows(p, eps, slots)
+    rowsum = [int((a == x).sum()) for x in range(l)]
+    colsum = [int((b == y).sum()) for y in range(l)]
+    # Every cell count is a constant plus or minus a sum of hot counts, so each
+    # cell window is a window on that sum, and windows on the same sum
+    # intersect (at l = 2 all four cells constrain the single hot count).
+    hot_cells = [(x, y) for x in range(1, l) for y in range(1, l)]
+    base = slots - sum(rowsum[1:]) - sum(colsum[1:])
+    windows: dict[tuple, tuple[int, int]] = {}
     for x in range(l):
         for y in range(l):
-            ok &= np.abs(counts[x, y] / slots - p[x, y]) <= eps
+            cl, ch = int(lo[x, y]), int(hi[x, y])
+            if x and y:
+                key, w = ((x, y),), (cl, ch)
+            elif x:  # rowsum[x] - sum of row x's hot cells
+                key, w = tuple((x, v) for v in range(1, l)), (rowsum[x] - ch, rowsum[x] - cl)
+            elif y:  # colsum[y] - sum of column y's hot cells
+                key, w = tuple((u, y) for u in range(1, l)), (colsum[y] - ch, colsum[y] - cl)
+            else:  # base + sum of all hot cells
+                key, w = tuple(hot_cells), (cl - base, ch - base)
+            old = windows.get(key, w)
+            windows[key] = (max(old[0], w[0]), min(old[1], w[1]))
+    left = {xy: e_i @ np.kron(a == xy[0], b == xy[1]).astype(np.float32)
+            for xy in hot_cells}  # (R_i, k_j^2) each
+    ok = np.ones((ri, rj), dtype=bool)
+    step = max(1, _INTER_CHUNK // ri)
+    for c0 in range(0, rj, step):
+        ej_t = e_j[c0:c0 + step].T
+        hot = {xy: m @ ej_t for xy, m in left.items()}
+        okc = ok[:, c0:c0 + step]
+        for cells, (wlo, whi) in windows.items():
+            s = hot[cells[0]]
+            for xy in cells[1:]:
+                s = s + hot[xy]
+            okc &= s >= wlo
+            okc &= s <= whi
     return ok
 
 
@@ -161,7 +204,7 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _CsiGrid:
         total *= math.factorial(len(g))
     if total > cap:
         raise SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
-    perms = [np.asarray(list(permutations(range(len(g))))) for g in labels_of]
+    perms = [_perm_tables(len(g))[0] for g in labels_of]
     shape = tuple(len(p) for p in perms)
     mask = np.ones(shape, dtype=bool)
     g1, g2 = inst.g1_values, inst.g2_values
@@ -171,7 +214,7 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _CsiGrid:
     for i in range(c):
         for j in range(i + 1, c):
             mij = _inter_mask(g1, g2, labels_of[i], labels_of[j], verts_of[i],
-                              verts_of[j], perms[i], perms[j], joint[i, j], eps)
+                              verts_of[j], joint[i, j], eps)
             mask &= mij.reshape(
                 tuple(shape[ax] if ax in (i, j) else 1 for ax in range(c)))
     return _CsiGrid(labels_of=labels_of, verts_of=verts_of, perms=perms,
@@ -188,18 +231,17 @@ def _labeling_at(grid: _CsiGrid, idx: tuple[int, ...]) -> Labeling:
 
 def _truth_index(grid: _CsiGrid, truth: Labeling) -> Optional[tuple[int, ...]]:
     """Grid coordinates of the true labeling, None when not community-preserving."""
-    tinv = truth.inverse().mapping
+    tinv = np.asarray(truth.inverse().mapping)
     idx = []
-    for i, labels in enumerate(grid.labels_of):
-        vpos = {int(v): q for q, v in enumerate(grid.verts_of[i])}
-        rho = []
-        for a in labels:
-            v = tinv[a]
-            if v not in vpos:
-                return None
-            rho.append(vpos[v])
-        ranks = {tuple(row): r for r, row in enumerate(grid.perms[i].tolist())}
-        idx.append(ranks[tuple(rho)])
+    for labels, verts in zip(grid.labels_of, grid.verts_of):
+        vs = tinv[labels]
+        if not np.array_equal(np.sort(vs), verts):
+            return None
+        rho = np.searchsorted(verts, vs)  # vertex positions within the community
+        rank = 0  # lex rank of rho from its Lehmer code, in mixed radix
+        for q in range(len(rho)):
+            rank = rank * (len(rho) - q) + int((rho[q + 1:] < rho[q]).sum())
+        idx.append(rank)
     return tuple(idx)
 
 
@@ -343,8 +385,9 @@ def run_matching(inst: MatchingInstance,
     eps = default_epsilon(inst.n) if eps is None else eps
     if inst.mode == "csi":
         grid = _csi_grid(inst, eps, cap)
-        flat = np.flatnonzero(grid.mask.ravel())
-        size = int(flat.size)
+        rows = grid.mask.reshape(len(grid.mask), -1)
+        per_row = np.count_nonzero(rows, axis=1)
+        size = int(per_row.sum())
         if size == 0:
             raise EmptyAmbiguitySetError(f"ambiguity set empty (mode csi, eps {eps})")
         k = int(_philox(seed, _SELECT_TAG).integers(size))
@@ -354,7 +397,11 @@ def run_matching(inst: MatchingInstance,
         contiguous = np.array_equal(
             np.concatenate(grid.labels_of), np.arange(inst.n))
         if contiguous:
-            idx = np.unravel_index(int(flat[k]), grid.mask.shape)
+            # k-th survivor in row-major order, without listing every survivor
+            ends = np.cumsum(per_row)
+            r = int(np.searchsorted(ends, k, side="right"))
+            col = int(np.flatnonzero(rows[r])[k - ends[r] + per_row[r]])
+            idx = np.unravel_index(r * rows.shape[1] + col, grid.mask.shape)
             chosen = _labeling_at(grid, tuple(int(v) for v in idx))
         else:
             members = [_labeling_at(grid, tuple(i)) for i in np.argwhere(grid.mask)]

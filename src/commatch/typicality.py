@@ -4,6 +4,15 @@ A pair of equal-length sequences is jointly epsilon-typical for a joint
 distribution P when every entry of its empirical joint distribution sits
 within eps of the corresponding entry of P (absolute deviation, every cell).
 
+Boundary semantics: a cell with count k out of n slots passes exactly when
+the float64 expression abs(k / n - p) <= eps holds, with p and eps the given
+floats; ties at the boundary therefore follow float rounding, not exact
+rational arithmetic. `is_jointly_typical` evaluates that expression directly.
+`count_windows` turns it into one inclusive integer window [lo, hi] of
+passing counts per cell, which the matcher compares counts against; since
+k / n is monotone in k the passing counts form an interval, so both forms
+take the same decision on every count.
+
 The undirected edge slots of a labeled graph pair split into blocks, one per
 unordered community pair: the intra block of community i has n_i(n_i-1)/2
 slots, the inter block of (i, j) has n_i * n_j. Slots are enumerated in a
@@ -66,6 +75,20 @@ def is_jointly_typical(x: Sequence[int], y: Sequence[int], p: np.ndarray, eps: f
     if t.n == 0:
         return True
     return bool(np.all(np.abs(t.counts / t.n - p) <= eps))
+
+
+def count_windows(p: np.ndarray, eps: float, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell inclusive ranges of typical counts out of slots >= 1.
+
+    Count k in [0, slots] passes cell (x, y) exactly when
+    lo[x, y] <= k <= hi[x, y], i.e. when abs(k / slots - p[x, y]) <= eps as
+    `is_jointly_typical` evaluates it. A cell no count passes gets lo > hi.
+    """
+    k = np.arange(slots + 1)
+    ok = np.abs(k / slots - np.asarray(p, dtype=float)[..., None]) <= eps
+    lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), slots + 1)
+    hi = slots - ok[..., ::-1].argmax(axis=-1)
+    return lo, hi
 
 
 # -- block slot enumeration ---------------------------------------------------

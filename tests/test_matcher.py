@@ -1,12 +1,18 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from commatch.errors import EmptyAmbiguitySetError, ParameterError, SizeGuardError
 from commatch.graphgen import anonymize, sample_pair
 from commatch.matcher import (
+    DEFAULT_CANDIDATE_CAP,
     AmbiguitySet,
+    _csi_grid,
+    _labeling_at,
+    _perm_tables,
+    _truth_index,
     ambiguity_set_csi,
     ambiguity_set_wsi,
     run_matching,
@@ -23,6 +29,7 @@ from commatch.permutation import Permutation
 from commatch.typicality import (
     blocks_jointly_typical,
     default_epsilon,
+    joint_type,
     paired_blocks,
 )
 
@@ -42,6 +49,27 @@ def _typical(inst, sigma, eps):
     blocks = paired_blocks(inst.g1_values, inst.comm1_of_label,
                            inst.g2_values, ltv, inst.comm2_of_vertex, inst.c)
     return blocks_jointly_typical(blocks, inst.model.joint, eps)
+
+
+def _blocks(inst, sigma):
+    return paired_blocks(inst.g1_values, inst.comm1_of_label, inst.g2_values,
+                         sigma.inverse().mapping, inst.comm2_of_vertex, inst.c)
+
+
+def _preserving(inst):
+    # every community-preserving labeling, built straight from the community maps
+    groups = [([a for a in range(inst.n) if inst.comm1_of_label[a] == i],
+               [v for v in range(inst.n) if inst.comm2_of_vertex[v] == i])
+              for i in range(inst.c)]
+    for choice in itertools.product(*(itertools.permutations(vs) for _, vs in groups)):
+        ltv = [0] * inst.n
+        for (labels, _), vs in zip(groups, choice):
+            for a, v in zip(labels, vs):
+                ltv[a] = v
+        yield Permutation(tuple(ltv)).inverse()
+
+
+EPS_GRID = [i / 20 for i in range(1, 14)]  # 0.05, 0.10, ..., 0.65
 
 
 def _brute_csi(inst, eps):
@@ -71,6 +99,73 @@ def test_csi_set_matches_brute_force_other_layouts(sizes):
     eps = 0.4
     got = {p.mapping for p in ambiguity_set_csi(inst, eps=eps)}
     assert got == _brute_csi(inst, eps)
+
+
+@pytest.mark.parametrize("sizes", [(4, 4), (2, 3, 4)])
+@pytest.mark.parametrize("joint", [copy_joint(2), dsbs_joint(0.25)], ids=["copy", "dsbs"])
+def test_csi_full_grid_matches_scalar_test(sizes, joint):
+    # unequal community sizes exercise the one-hot/kron index layout of the
+    # inter masks
+    inst = _instance(seed=5, sizes=sizes, joint=joint)
+    cands = [(sigma.mapping, _blocks(inst, sigma)) for sigma in _preserving(inst)]
+    assert len(cands) == math.prod(math.factorial(k) for k in sizes)
+    for eps in EPS_GRID:
+        want = {m for m, b in cands if blocks_jointly_typical(b, inst.model.joint, eps)}
+        assert {p.mapping for p in ambiguity_set_csi(inst, eps=eps)} == want, eps
+
+
+@pytest.mark.parametrize("sizes", [(5, 5), (6, 6)])
+@pytest.mark.parametrize("joint", [copy_joint(2), dsbs_joint(0.1)], ids=["copy", "dsbs"])
+def test_csi_grid_sample_matches_scalar_test(sizes, joint):
+    inst = _instance(seed=3, sizes=sizes, joint=joint)
+    grid = _csi_grid(inst, 0.3, DEFAULT_CANDIDATE_CAP)
+    rng = np.random.default_rng(sum(sizes))
+    sample = {tuple(int(rng.integers(len(p))) for p in grid.perms) for _ in range(80)}
+    cells = []
+    for idx in sorted(sample):
+        sigma = _labeling_at(grid, idx)
+        assert _truth_index(grid, sigma) == idx
+        cells.append((idx, _blocks(inst, sigma)))
+    for eps in EPS_GRID:
+        mask = _csi_grid(inst, eps, DEFAULT_CANDIDATE_CAP).mask
+        for idx, blocks in cells:
+            assert mask[idx] == blocks_jointly_typical(blocks, inst.model.joint, eps), (idx, eps)
+
+
+def test_csi_grid_keeps_float_boundary_counts():
+    # copy (5,5) at eps 0.3: an inter cell at p = 0.5 holding 5 of 25 slots
+    # passes, because abs(5 / 25 - 0.5) <= 0.3 holds in float64
+    assert abs(5 / 25 - 0.5) <= 0.3
+    inst = _instance(seed=0, sizes=(5, 5), joint=copy_joint(2))
+    grid = _csi_grid(inst, 0.3, DEFAULT_CANDIDATE_CAP)
+    rng = np.random.default_rng(7)
+    on_boundary = 0
+    for _ in range(300):
+        idx = tuple(int(rng.integers(len(p))) for p in grid.perms)
+        blocks = _blocks(inst, _labeling_at(grid, idx))
+        typical = blocks_jointly_typical(blocks, inst.model.joint, 0.3)
+        assert grid.mask[idx] == typical
+        counts = joint_type(*blocks.blocks[(0, 1)], shape=(2, 2)).counts
+        on_boundary += typical and 5 in (counts[0, 0], counts[1, 1])
+    assert on_boundary > 0
+
+
+def test_perm_tables_are_shared_and_read_only():
+    perms, onehot = _perm_tables(4)
+    assert _perm_tables(4)[0] is perms
+    assert not perms.flags.writeable and not onehot.flags.writeable
+    assert perms.tolist() == [list(p) for p in itertools.permutations(range(4))]
+    assert (onehot.reshape(-1, 4, 4).argmax(axis=2) == perms).all()
+    assert (onehot.sum(axis=1) == 4).all()
+
+
+def test_truth_index_outside_the_grid():
+    inst = _instance(seed=1)
+    grid = _csi_grid(inst, 0.3, DEFAULT_CANDIDATE_CAP)
+    # swap a label of community 1 with one of community 2
+    ltv = list(inst.sealed_truth().inverse().mapping)
+    ltv[0], ltv[3] = ltv[3], ltv[0]
+    assert _truth_index(grid, Permutation(tuple(ltv)).inverse()) is None
 
 
 def test_csi_set_canonical_order_and_container():

@@ -11,6 +11,7 @@ from commatch.typicality import (
     DEFAULT_KAPPA,
     block_slots,
     blocks_jointly_typical,
+    count_windows,
     default_epsilon,
     extract_paired_blocks,
     is_jointly_typical,
@@ -77,6 +78,33 @@ def test_empty_sequences_are_typical():
 
 def test_everything_typical_at_eps_one():
     assert is_jointly_typical([0] * 6, [0] * 6, UNIF, 1.0)
+
+
+GRID_05 = [i / 20 for i in range(21)]  # 0.0, 0.05, ..., 1.0
+
+
+def test_count_windows_reproduce_the_float_test():
+    p = np.array(GRID_05)
+    for slots in range(1, 60):
+        k = np.arange(slots + 1)
+        for eps in GRID_05:
+            lo, hi = count_windows(p, eps, slots)
+            inside = (lo[:, None] <= k) & (k <= hi[:, None])
+            assert (inside == (np.abs(k / slots - p[:, None]) <= eps)).all(), (slots, eps)
+
+
+def test_count_windows_boundaries():
+    # exact rationals on these floats put 2/5 - 0.15 above 0.25; float64 does not
+    lo, hi = count_windows(np.array([[0.15]]), 0.25, 5)
+    assert lo[0, 0] <= 2 <= hi[0, 0]
+    assert is_jointly_typical([1, 1, 0, 0, 0], [1, 1, 0, 0, 0],
+                              np.array([[0.6, 0.25], [0.0, 0.15]]), 0.25)
+    # p = 0.5, eps 0.3 over 25 slots: count 5 passes, count 20 does not
+    lo, hi = count_windows(np.array([0.5]), 0.3, 25)
+    assert (lo[0], hi[0]) == (5, 19)
+    # no count within eps: an empty window
+    lo, hi = count_windows(np.array([0.5]), 0.05, 3)
+    assert lo[0] > hi[0]
 
 
 def test_block_slots_intra_upper_triangle():
