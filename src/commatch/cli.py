@@ -4,7 +4,7 @@ Every serialized output embeds the tool version and a hash of the resolved
 configuration, and contains nothing nondeterministic: identical flags give
 byte-identical files (wall-clock timings go to stderr only). Campaign trials
 derive their seeds from (master seed, trial index), so results do not depend
-on execution order or thread count.
+on execution order.
 
 Exit codes: 0 success, 1 runtime failure (empty ambiguity set, failed verify
 checks), 2 validation/parameter errors, 3 size-guard refusals.
@@ -19,7 +19,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,7 +92,6 @@ class ExperimentConfig:
     eps: Optional[float]  # None resolves through the kappa schedule
     kappa: float
     cap: int
-    threads: int
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,7 @@ def run_campaign(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
                 error=f"{type(e).__name__}: {e}",
             )
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            records = list(ex.map(one, range(cfg.trials)))
-    else:
-        records = [one(i) for i in range(cfg.trials)]
+    records = [one(i) for i in range(cfg.trials)]
 
     scored = [r.accuracy for r in records if r.accuracy is not None]
     quants = None
@@ -319,10 +313,8 @@ def _cmd_campaign(args) -> int:
     cfg = ExperimentConfig(
         model_path=args.model, n=args.n, mode=args.mode, trials=args.trials,
         master_seed=args.seed, eps=args.eps, kappa=args.kappa, cap=args.cap,
-        threads=args.threads,
     )
     records, summary = run_campaign(cfg)
-    # threads affect scheduling only, so they stay out of the config hash
     h = _config_hash({"command": "campaign", "model": cfg.model_path, "n": cfg.n,
                       "mode": cfg.mode, "trials": cfg.trials, "seed": cfg.master_seed,
                       "eps": cfg.eps, "kappa": cfg.kappa, "cap": cfg.cap})
@@ -369,8 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads where supported (default 1)")
 
     p = argparse.ArgumentParser(
         prog="commatch",

@@ -209,8 +209,42 @@ def save_instance(inst: MatchingInstance, path, extra: Optional[dict] = None) ->
         fh.write("\n")
 
 
+def _ut_violations(flat, key: str, n: int, l: int) -> list[str]:
+    """Problems of one strict-upper-triangle edge value list (first found)."""
+    want = n * (n - 1) // 2
+    if not isinstance(flat, list) or len(flat) != want:
+        got = f"{len(flat)} values" if isinstance(flat, list) else type(flat).__name__
+        return [f"{key} must list {want} edge values for n={n}, got {got}"]
+    for i, v in enumerate(flat):
+        if isinstance(v, bool) or not isinstance(v, int):
+            return [f"{key}[{i}] is not an integer: {v!r}"]
+        if not 0 <= v < l:
+            return [f"{key}[{i}] = {v} is outside the edge alphabet [0, {l})"]
+    return []
+
+
+def _community_map_violations(raw: dict, key: str, sizes: tuple[int, ...]) -> list[str]:
+    """Problems of one vertex -> community map read for csi matching."""
+    if key not in raw:
+        return [f"mode csi needs instance key: {key}"]
+    m, c = raw[key], len(sizes)
+    if not isinstance(m, list) or len(m) != sum(sizes):
+        return [f"{key} must list one community per vertex (n={sum(sizes)})"]
+    if any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < c for v in m):
+        return [f"{key} entries must be community indices in [0, {c})"]
+    counts = [m.count(i) for i in range(c)]
+    if counts != list(sizes):
+        return [f"{key} community sizes {counts} differ from communities {list(sizes)}"]
+    return []
+
+
 def load_instance(path, mode: Optional[str] = None) -> MatchingInstance:
-    """Read an instance file; mode overrides the recorded one when given."""
+    """Read an instance file; mode overrides the recorded one when given.
+
+    Edge value lists and, under mode csi, both community maps are checked
+    against n, the alphabet and the community sizes; every problem found is
+    reported in one ValidationError.
+    """
     raw = read_json_document(path, "instance")
     missing = [k for k in ("l", "communities", "joint", "g1_ut", "g2_ut", "truth") if k not in raw]
     if missing:
@@ -227,8 +261,15 @@ def load_instance(path, mode: Optional[str] = None) -> MatchingInstance:
     use_mode = mode or raw.get("mode", "csi")
     if use_mode not in ("csi", "wsi"):
         raise ValidationError([f"bad mode {use_mode!r}"])
-    truth = from_one_based(raw["truth"])
     csi = use_mode == "csi"
+    problems = (_ut_violations(raw["g1_ut"], "g1_ut", n, model.l)
+                + _ut_violations(raw["g2_ut"], "g2_ut", n, model.l))
+    if csi:
+        for key in ("comm1_of_label", "comm2_of_vertex"):
+            problems += _community_map_violations(raw, key, layout.sizes)
+    if problems:
+        raise ValidationError(problems)
+    truth = from_one_based(raw["truth"])
     return MatchingInstance(
         n=n,
         sizes=layout.sizes,

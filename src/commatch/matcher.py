@@ -14,13 +14,25 @@ one community's assignment, inter blocks on a pair, so per-community
 permutations are enumerated once and combined through boolean masks. Inter
 block counts for all permutation pairs come from matrix products with one-hot
 permutation tables (one product pair per cell with both symbols >= 1, the
-other cells from marginal totals). Every count is checked against the integer
-window `typicality.count_windows` derives from the float expression of
-`is_jointly_typical`, so the decisions agree with it bit for bit.
+other cells from marginal totals).
+
+The wsi path counts all labelings under all assignments at once. Under an
+assignment the vertex side's communities are the assignment read through the
+candidate, so every label pair falls in the same block on both sides: the
+block layout depends on the assignment alone and the aligned second-graph
+values on the labeling alone. One matrix product of the labelings' slot
+values against a 0/1 table of slots per (assignment, block, first-graph
+symbol) gives every cell count.
+
+Every count is checked against the integer window `typicality.count_windows`
+derives from the float expression of `is_jointly_typical`, so the decisions
+agree with it bit for bit.
 
 Canonical member order everywhere is lexicographic by the inverse mapping
-(label -> anonymized vertex), which both enumeration orders produce directly;
-seeded selection indexes into that order.
+(label -> anonymized vertex). The wsi mask is in that order, and so is the
+csi grid in row-major order when label communities are contiguous; other csi
+survivors are sorted as small-int rows. Seeded selection indexes into that
+order.
 """
 
 from __future__ import annotations
@@ -89,18 +101,52 @@ class _CsiGrid:
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lex-order permutations of range(k), (R, k), and their one-hot table.
+def _perm_table(k: int) -> np.ndarray:
+    """Lex-order permutations of range(k), (R, k); shared, hence read-only.
 
-    The one-hot table E, (R, k*k) float32, has E[r, q*k + rho_r(q)] = 1.
-    Both are shared between callers and threads, hence read-only.
+    Built from the table of k - 1 under each first element f (entries >= f
+    shift up by one, which keeps lex order), without a tuple per row.
     """
-    perms = np.asarray(list(permutations(range(k))), dtype=np.intp)
+    if k == 0:
+        perms = np.zeros((1, 0), dtype=np.intp)
+    else:
+        sub = _perm_table(k - 1)
+        perms = np.empty((k, len(sub), k), dtype=np.intp)
+        for f in range(k):
+            perms[f, :, 0] = f
+            perms[f, :, 1:] = sub + (sub >= f)
+        perms = perms.reshape(-1, k)
+    perms.setflags(write=False)
+    return perms
+
+
+@lru_cache(maxsize=None)
+def _onehot_table(k: int) -> np.ndarray:
+    """One-hot table E of `_perm_table(k)`, (R, k*k) float32, with
+    E[r, q*k + rho_r(q)] = 1; shared, hence read-only."""
+    perms = _perm_table(k)
     onehot = np.zeros((len(perms), k * k), dtype=np.float32)
     onehot[np.arange(len(perms))[:, None], np.arange(k) * k + perms] = 1.0
-    perms.setflags(write=False)
     onehot.setflags(write=False)
-    return perms, onehot
+    return onehot
+
+
+def _lex_rank(rho: np.ndarray) -> int:
+    """Lex rank of a permutation of range(len(rho)), from its Lehmer code."""
+    rank = 0
+    for q in range(len(rho)):
+        rank = rank * (len(rho) - q) + int((rho[q + 1:] < rho[q]).sum())
+    return rank
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Indices sorting rows lexicographically (first column most significant)."""
+    return np.lexsort(rows.T[::-1])
+
+
+def _decode(rows: np.ndarray) -> tuple[Labeling, ...]:
+    """Labelings of label -> vertex rows, in row order."""
+    return tuple(Permutation(tuple(inv)) for inv in np.argsort(rows, axis=1).tolist())
 
 
 def _intra_mask(g1: np.ndarray, g2: np.ndarray, labels: np.ndarray, verts: np.ndarray,
@@ -136,7 +182,7 @@ def _inter_mask(g1: np.ndarray, g2: np.ndarray,
     A cell with both symbols >= 1 counts
     sum_{q1,q2} 1{A[q1,q2]=x} 1{B[rho_i(q1), rho_j(q2)]=y}
     = (E_i @ kron(1{A=x}, 1{B=y}) @ E_j^T)[rho_i, rho_j] with the one-hot
-    tables E of `_perm_tables`; every product and partial sum is a small
+    tables E of `_onehot_table`; every product and partial sum is a small
     integer, so float32 is exact. The remaining cells follow from the
     permutation-invariant marginal totals. rho_j is processed in chunks so
     no more than a few (R_i, chunk) count arrays are alive at once.
@@ -146,8 +192,8 @@ def _inter_mask(g1: np.ndarray, g2: np.ndarray,
     k_i, k_j = a.shape
     slots = k_i * k_j
     l = p.shape[0]
-    _, e_i = _perm_tables(k_i)
-    _, e_j = _perm_tables(k_j)
+    e_i = _onehot_table(k_i)
+    e_j = _onehot_table(k_j)
     ri, rj = len(e_i), len(e_j)
     lo, hi = count_windows(p, eps, slots)
     rowsum = [int((a == x).sum()) for x in range(l)]
@@ -204,7 +250,7 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _CsiGrid:
         total *= math.factorial(len(g))
     if total > cap:
         raise SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
-    perms = [_perm_tables(len(g))[0] for g in labels_of]
+    perms = [_perm_table(len(g)) for g in labels_of]
     shape = tuple(len(p) for p in perms)
     mask = np.ones(shape, dtype=bool)
     g1, g2 = inst.g1_values, inst.g2_values
@@ -221,12 +267,17 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _CsiGrid:
                     mask=mask, candidate_space=total)
 
 
-def _labeling_at(grid: _CsiGrid, idx: tuple[int, ...]) -> Labeling:
+def _grid_rows(grid: _CsiGrid, idx: np.ndarray) -> np.ndarray:
+    """Label -> vertex rows of the grid cells idx, (len(idx), n) small ints."""
     n = sum(len(g) for g in grid.labels_of)
-    ltv = np.empty(n, dtype=np.int64)
-    for i, r in enumerate(idx):
-        ltv[grid.labels_of[i]] = grid.verts_of[i][grid.perms[i][r]]
-    return Permutation(tuple(int(v) for v in ltv)).inverse()
+    rows = np.empty((len(idx), n), dtype=np.min_scalar_type(n))
+    for i, (labels, verts) in enumerate(zip(grid.labels_of, grid.verts_of)):
+        rows[:, labels] = verts[grid.perms[i][idx[:, i]]]
+    return rows
+
+
+def _labeling_at(grid: _CsiGrid, idx: tuple[int, ...]) -> Labeling:
+    return _decode(_grid_rows(grid, np.asarray([idx])))[0]
 
 
 def _truth_index(grid: _CsiGrid, truth: Labeling) -> Optional[tuple[int, ...]]:
@@ -237,11 +288,7 @@ def _truth_index(grid: _CsiGrid, truth: Labeling) -> Optional[tuple[int, ...]]:
         vs = tinv[labels]
         if not np.array_equal(np.sort(vs), verts):
             return None
-        rho = np.searchsorted(verts, vs)  # vertex positions within the community
-        rank = 0  # lex rank of rho from its Lehmer code, in mixed radix
-        for q in range(len(rho)):
-            rank = rank * (len(rho) - q) + int((rho[q + 1:] < rho[q]).sum())
-        idx.append(rank)
+        idx.append(_lex_rank(np.searchsorted(verts, vs)))  # positions within the community
     return tuple(idx)
 
 
@@ -261,8 +308,8 @@ def ambiguity_set_csi(inst: MatchingInstance,
     eps = default_epsilon(inst.n) if eps is None else eps
     if restrict:
         grid = _csi_grid(inst, eps, cap)
-        members = [_labeling_at(grid, tuple(idx)) for idx in np.argwhere(grid.mask)]
-        return AmbiguitySet(tuple(_sorted_members(members)), eps, "csi",
+        rows = _grid_rows(grid, np.argwhere(grid.mask))
+        return AmbiguitySet(_decode(rows[_lex_order(rows)]), eps, "csi",
                             grid.candidate_space)
     if inst.comm1_of_label is None or inst.comm2_of_vertex is None:
         raise ParameterError("csi matching needs community maps on both sides")
@@ -300,6 +347,99 @@ def _assignments_with_sizes(n: int, sizes: tuple[int, ...]) -> list[tuple[int, .
     return out
 
 
+def _wsi_assignments(inst: MatchingInstance, full_sweep: bool,
+                     cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """Swept label-side assignments and the candidate space, size-guarded."""
+    n, c = inst.n, inst.c
+    if full_sweep:
+        if n > 8:
+            raise SizeGuardError(f"full assignment sweep is limited to n <= 8, got n={n}")
+        assignments = [tuple(m) for m in product(range(c), repeat=n)]
+    else:
+        assignments = _assignments_with_sizes(n, inst.sizes)
+    total = math.factorial(n) * len(assignments)
+    if total > cap:
+        raise SizeGuardError(
+            f"{math.factorial(n)} candidates x {len(assignments)} assignments "
+            f"exceed cap {cap}")
+    return assignments, total
+
+
+# Float32 entries of one (rows, columns) count array in _wsi_mask.
+_WSI_CHUNK = 1 << 14
+
+
+def _wsi_mask(inst: MatchingInstance, eps: float,
+              assignments: list[tuple[int, ...]]) -> np.ndarray:
+    """bool[n!], in lex label -> vertex order: is the labeling typical under
+    some assignment?
+
+    Under assignment m1 the vertex side's communities are m1 read through the
+    candidate, so label pair (u, v) sits in block (m1[u], m1[v]) on both sides
+    and meets g2[ltv[u], ltv[v]]. Cell (x, y) of block b under m1 therefore
+    counts (G == y) @ W[:, (b, x, m1)], with G[r, s] the second graph's value
+    at slot s under the r-th labeling and W the 0/1 table of the slots per
+    (block, first-graph symbol, assignment). Counts are at most the slot
+    count, so float32 is exact. Cells with y = 0 follow from W's column totals,
+    and labelings are processed in chunks of rows.
+    """
+    n, c, l = inst.n, inst.c, inst.model.l
+    joint = inst.model.joint
+    s1, s2 = np.triu_indices(n, 1)
+    iu, ju = np.triu_indices(c)
+    nb = len(iu)
+    block_of = np.empty((c, c), dtype=np.intp)
+    block_of[iu, ju] = block_of[ju, iu] = np.arange(nb)
+    na = len(assignments)
+    asg = np.asarray(assignments, dtype=np.intp).reshape(na, n)
+    blk = block_of[asg[:, s1], asg[:, s2]]  # (|A|, S)
+    # Columns in (block, x, assignment) order, so the test over a labeling's
+    # cells reduces across whole rows of assignments.
+    cols = (blk * l + inst.g1_values[s1, s2]) * na + np.arange(na)[:, None]
+    w = np.zeros((len(s1), nb * l * na), dtype=np.float32)
+    w[np.arange(len(s1)), cols] = 1.0
+    tot = w.sum(axis=0)  # slots per (block, x, assignment)
+    slots = tot.reshape(nb, l, na).sum(axis=1).astype(np.intp)
+    # Zero-slot blocks keep the window [0, 0] every cell passes.
+    lo = np.zeros((nb, l, na, l), dtype=np.float32)
+    hi = np.zeros_like(lo)
+    for b in range(nb):
+        for k in set(slots[b].tolist()):
+            if k:
+                on = slots[b] == k
+                b_lo, b_hi = count_windows(joint[iu[b], ju[b]], eps, int(k))
+                lo[b][:, on], hi[b][:, on] = b_lo[:, None], b_hi[:, None]
+    lo, hi = lo.reshape(-1, l), hi.reshape(-1, l)
+    # Cell y >= 1 bounds the hot count y; cell 0 bounds the sum of all hot
+    # counts (at l = 2 both bound the single hot count).
+    hot_ys = tuple(range(1, l))
+    windows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    for y in range(l):
+        key, w_lo, w_hi = ((y,), lo[:, y], hi[:, y]) if y else (
+            hot_ys, tot - hi[:, 0], tot - lo[:, 0])
+        if key in windows:
+            w_lo = np.maximum(windows[key][0], w_lo)
+            w_hi = np.minimum(windows[key][1], w_hi)
+        windows[key] = (w_lo, w_hi)
+    perms = _perm_table(n)
+    ok = np.empty(len(perms), dtype=bool)
+    step = max(1, _WSI_CHUNK // w.shape[1])
+    for r0 in range(0, len(perms), step):
+        p = perms[r0:r0 + step]
+        g = np.take(inst.g2_values, p[:, s1] * n + p[:, s2])
+        hot = {y: (g == y).astype(np.float32) @ w for y in hot_ys}
+        fit = np.ones((len(p), na), dtype=bool)  # (labeling, assignment)
+        for ys, (w_lo, w_hi) in windows.items():
+            s = hot[ys[0]]
+            for y in ys[1:]:
+                s = s + hot[y]
+            cell_ok = (s >= w_lo) & (s <= w_hi)
+            for c0 in range(0, w.shape[1], na):  # one (block, x) group at a time
+                fit &= cell_ok[:, c0:c0 + na]
+        ok[r0:r0 + step] = fit.any(axis=1)
+    return ok
+
+
 def ambiguity_set_wsi(inst: MatchingInstance,
                       eps: Optional[float] = None,
                       full_sweep: bool = False,
@@ -315,39 +455,22 @@ def ambiguity_set_wsi(inst: MatchingInstance,
     assignments (guarded to n <= 8).
     """
     eps = default_epsilon(inst.n) if eps is None else eps
-    n, c = inst.n, inst.c
-    joint = inst.model.joint
-    if full_sweep:
-        if n > 8:
-            raise SizeGuardError(f"full assignment sweep is limited to n <= 8, got n={n}")
-        assignments = [tuple(m) for m in product(range(c), repeat=n)]
-    else:
-        assignments = _assignments_with_sizes(n, inst.sizes)
-    total = math.factorial(n) * len(assignments)
-    if total > cap:
-        raise SizeGuardError(
-            f"{math.factorial(n)} candidates x {len(assignments)} assignments "
-            f"exceed cap {cap}")
-    members = []
-    for ltv in permutations(range(n)):
-        sigma = Permutation(ltv).inverse()
-        for m1 in assignments:
-            comm2 = tuple(m1[sigma.mapping[v]] for v in range(n))
-            blocks = paired_blocks(inst.g1_values, m1, inst.g2_values, ltv, comm2, c)
-            if blocks_jointly_typical(blocks, joint, eps):
-                members.append(sigma)
-                break
-    return AmbiguitySet(tuple(members), eps, "wsi", total)
+    assignments, total = _wsi_assignments(inst, full_sweep, cap)
+    mask = _wsi_mask(inst, eps, assignments)
+    return AmbiguitySet(_decode(_perm_table(inst.n)[mask]), eps, "wsi", total)
+
+
+def _select_rank(size: int, seed: int, mode: str, eps: float) -> int:
+    """Seeded uniform rank into a canonically ordered set of size members."""
+    if size == 0:
+        raise EmptyAmbiguitySetError(f"ambiguity set empty (mode {mode}, eps {eps})")
+    return int(_philox(seed, _SELECT_TAG).integers(size))
 
 
 def select_labeling(s: AmbiguitySet, seed: int) -> Labeling:
     """Uniform seeded pick; deterministic given the set's contents and seed."""
-    if not s.labelings:
-        raise EmptyAmbiguitySetError(
-            f"ambiguity set empty (mode {s.mode}, eps {s.eps})")
-    members = _sorted_members(s.labelings)
-    k = int(_philox(seed, _SELECT_TAG).integers(len(members)))
-    return members[k]
+    k = _select_rank(len(s), seed, s.mode, s.eps)
+    return _sorted_members(s.labelings)[k]
 
 
 # -- end to end ---------------------------------------------------------------
@@ -375,9 +498,10 @@ def run_matching(inst: MatchingInstance,
                  cap: int = DEFAULT_CANDIDATE_CAP) -> MatchResult:
     """Build the mode's ambiguity set, pick a member, score against the truth.
 
-    The csi path selects directly from the boolean candidate grid without
-    materializing members, which matches select_labeling's canonical order
-    (row-major grid order is lexicographic in the inverse mapping).
+    Both paths select from the boolean candidate mask without building a
+    Labeling per member, in select_labeling's canonical order: the wsi mask
+    and, for contiguous label communities, the row-major csi grid are in that
+    order; otherwise the csi survivors' label -> vertex rows are sorted.
     truth_included is evaluation-side information taken from the sealed truth
     after the choice is made.
     """
@@ -388,12 +512,7 @@ def run_matching(inst: MatchingInstance,
         rows = grid.mask.reshape(len(grid.mask), -1)
         per_row = np.count_nonzero(rows, axis=1)
         size = int(per_row.sum())
-        if size == 0:
-            raise EmptyAmbiguitySetError(f"ambiguity set empty (mode csi, eps {eps})")
-        k = int(_philox(seed, _SELECT_TAG).integers(size))
-        # Row-major grid order is the canonical order only when label
-        # communities are contiguous; otherwise rank k must be resolved on the
-        # sorted members.
+        k = _select_rank(size, seed, "csi", eps)
         contiguous = np.array_equal(
             np.concatenate(grid.labels_of), np.arange(inst.n))
         if contiguous:
@@ -404,18 +523,19 @@ def run_matching(inst: MatchingInstance,
             idx = np.unravel_index(r * rows.shape[1] + col, grid.mask.shape)
             chosen = _labeling_at(grid, tuple(int(v) for v in idx))
         else:
-            members = [_labeling_at(grid, tuple(i)) for i in np.argwhere(grid.mask)]
-            chosen = _sorted_members(members)[k]
+            ltv = _grid_rows(grid, np.argwhere(grid.mask))
+            chosen = _decode(ltv[_lex_order(ltv)[k:k + 1]])[0]
         space = grid.candidate_space
         tidx = _truth_index(grid, inst.sealed_truth())
         truth_in = bool(grid.mask[tidx]) if tidx is not None else False
     else:
-        s = ambiguity_set_wsi(inst, eps, cap=cap)
-        size = len(s)
-        space = s.candidate_space
-        chosen = select_labeling(s, seed)
-        truth_map = inst.sealed_truth().mapping
-        truth_in = any(m.mapping == truth_map for m in s.labelings)
+        assignments, space = _wsi_assignments(inst, False, cap)
+        mask = _wsi_mask(inst, eps, assignments)
+        hits = np.flatnonzero(mask)
+        size = len(hits)
+        k = _select_rank(size, seed, "wsi", eps)
+        chosen = _decode(_perm_table(inst.n)[hits[k:k + 1]])[0]
+        truth_in = bool(mask[_lex_rank(np.asarray(inst.sealed_truth().inverse().mapping))])
     acc = inst.score(chosen)
     diag = MatchDiagnostics(
         mode=inst.mode,

@@ -128,7 +128,7 @@ def separation_runs(tmp_path_factory):
     def campaign(path, n):
         cfg = ExperimentConfig(model_path=str(path), n=n, mode="csi",
                                trials=TRIALS, master_seed=MASTER_SEED,
-                               eps=None, kappa=2.0, cap=10_000_000, threads=1)
+                               eps=None, kappa=2.0, cap=10_000_000)
         _, summary = run_campaign(cfg)
         return summary
 

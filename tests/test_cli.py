@@ -8,6 +8,7 @@ import pytest
 
 from commatch.bounds import achievability_profile, converse_check
 from commatch.cli import main, trial_seed
+from commatch.errors import ValidationError
 from commatch.graphgen import load_instance
 from commatch.model import (
     copy_joint,
@@ -120,6 +121,70 @@ def test_invalid_model_exit_code(tmp_path, model_c2):
     assert main(["generate", "--model", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+def _drop_last(key):
+    def f(doc):
+        doc[key] = doc[key][:-1]
+    return f
+
+
+def _set_first(key, value):
+    def f(doc):
+        doc[key][0] = value
+    return f
+
+
+def _delete(key):
+    def f(doc):
+        del doc[key]
+    return f
+
+
+def _move_vertex_to_community_2(doc):
+    m = doc["comm2_of_vertex"]
+    m[m.index(0)] = 1
+
+
+MALFORMED = {
+    "short g1_ut": _drop_last("g1_ut"),
+    "long g2_ut": lambda doc: doc["g2_ut"].append(0),
+    "g1_ut not a list": lambda doc: doc.update(g1_ut=7),
+    "string entry": _set_first("g1_ut", "1"),
+    "float entry": _set_first("g2_ut", 1.5),
+    "bool entry": _set_first("g2_ut", True),
+    "null entry": _set_first("g1_ut", None),
+    "value = l": _set_first("g2_ut", 2),
+    "value beyond l": _set_first("g2_ut", 5),
+    "negative value": _set_first("g1_ut", -1),
+    "no comm1_of_label": _delete("comm1_of_label"),
+    "no comm2_of_vertex": _delete("comm2_of_vertex"),
+    "short comm2_of_vertex": _drop_last("comm2_of_vertex"),
+    "community out of range": _set_first("comm1_of_label", 2),
+    "community sizes differ": _move_vertex_to_community_2,
+}
+# community maps are read under mode csi only
+WSI_IGNORES = {"no comm1_of_label", "no comm2_of_vertex", "short comm2_of_vertex",
+               "community out of range", "community sizes differ"}
+
+
+@pytest.mark.parametrize("mode", ["csi", "wsi"])
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_instance_is_validation_error(tmp_path, model_c2, capsys, name, mode):
+    inst_path = tmp_path / "inst.json"
+    main(["generate", "--model", model_c2, "--seed", "3", "--out", str(inst_path)])
+    doc = json.loads(inst_path.read_text())
+    MALFORMED[name](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["match", "--input", str(bad), "--mode", mode, "--eps", "0.9"]
+    if mode == "wsi" and name in WSI_IGNORES:
+        assert main(argv) == 0
+        return
+    with pytest.raises(ValidationError):
+        load_instance(bad, mode=mode)
+    assert main(argv) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_negative_eps_is_parameter_error(tmp_path, model_c2, capsys):
     inst_path = tmp_path / "inst.json"
     main(["generate", "--model", model_c2, "--seed", "3", "--out", str(inst_path)])
@@ -171,12 +236,12 @@ def test_campaign_outputs(tmp_path, model_c2):
     assert 0.0 <= summary["mean_accuracy"] <= 1.0
 
 
-def test_campaign_threads_do_not_change_output(tmp_path, model_c2):
-    a, b = str(tmp_path / "t1"), str(tmp_path / "t4")
+def test_campaign_reruns_are_byte_identical(tmp_path, model_c2):
+    a, b = str(tmp_path / "run1"), str(tmp_path / "run2")
     base = ["campaign", "--model", model_c2, "--n", "6", "--trials", "6",
             "--seed", "2", "--eps", "1.0"]
     assert main(base + ["--out", a]) == 0
-    assert main(base + ["--threads", "4", "--out", b]) == 0
+    assert main(base + ["--out", b]) == 0
     assert open(a + ".csv").read() == open(b + ".csv").read()
     assert open(a + ".summary.json").read() == open(b + ".summary.json").read()
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from commatch import matcher
 from commatch.errors import EmptyAmbiguitySetError, ParameterError, SizeGuardError
 from commatch.graphgen import anonymize, sample_pair
 from commatch.matcher import (
@@ -11,7 +12,9 @@ from commatch.matcher import (
     AmbiguitySet,
     _csi_grid,
     _labeling_at,
-    _perm_tables,
+    _lex_rank,
+    _onehot_table,
+    _perm_table,
     _truth_index,
     ambiguity_set_csi,
     ambiguity_set_wsi,
@@ -20,6 +23,8 @@ from commatch.matcher import (
 )
 from commatch.model import (
     CommunityLayout,
+    EdgeAlphabet,
+    PairedEdgeModel,
     copy_joint,
     dsbs_joint,
     homogeneous_model,
@@ -151,12 +156,13 @@ def test_csi_grid_keeps_float_boundary_counts():
 
 
 def test_perm_tables_are_shared_and_read_only():
-    perms, onehot = _perm_tables(4)
-    assert _perm_tables(4)[0] is perms
+    perms, onehot = _perm_table(4), _onehot_table(4)
+    assert _perm_table(4) is perms and _onehot_table(4) is onehot
     assert not perms.flags.writeable and not onehot.flags.writeable
     assert perms.tolist() == [list(p) for p in itertools.permutations(range(4))]
     assert (onehot.reshape(-1, 4, 4).argmax(axis=2) == perms).all()
     assert (onehot.sum(axis=1) == 4).all()
+    assert [_lex_rank(p) for p in perms] == list(range(len(perms)))
 
 
 def test_truth_index_outside_the_grid():
@@ -224,6 +230,105 @@ def test_csi_equals_wsi_for_one_community():
             a = {p.mapping for p in ambiguity_set_csi(csi, eps=eps)}
             b = {p.mapping for p in ambiguity_set_wsi(wsi, eps=eps)}
             assert a == b
+
+
+def _brute_wsi(inst, eps_list, full_sweep=False):
+    # the scalar per-candidate loop: a labeling enters when some assignment of
+    # the labels makes all blocks typical, with the vertex side's communities
+    # the assignment read through the labeling; blocks are shared across eps
+    n, c = inst.n, inst.c
+    if full_sweep:
+        assignments = list(itertools.product(range(c), repeat=n))
+    else:
+        labels = [i for i, k in enumerate(inst.sizes) for _ in range(k)]
+        assignments = sorted(set(itertools.permutations(labels)))
+    found = {eps: set() for eps in eps_list}
+    for ltv in itertools.permutations(range(n)):
+        sigma = Permutation(ltv).inverse()
+        pending = list(eps_list)
+        for m1 in assignments:
+            comm2 = tuple(m1[sigma.mapping[v]] for v in range(n))
+            blocks = paired_blocks(inst.g1_values, m1, inst.g2_values, ltv, comm2, c)
+            for eps in [e for e in pending if blocks_jointly_typical(blocks, inst.model.joint, e)]:
+                found[eps].add(sigma.mapping)
+                pending.remove(eps)
+            if not pending:
+                break
+    return found
+
+
+def _community_model(sizes):
+    # a different edge density per community pair, so the block an
+    # assignment puts a slot in changes its typicality
+    c = len(sizes)
+    joint = np.empty((c, c, 2, 2))
+    for i, j in itertools.product(range(c), repeat=2):
+        q = 0.2 + 0.6 * (i + j) / max(1, 2 * c - 2)
+        a = q * (1 - q) / 2
+        joint[i, j] = [[(1 - q) ** 2 + a, q * (1 - q) - a], [q * (1 - q) - a, q * q + a]]
+    return PairedEdgeModel(alphabet=EdgeAlphabet(2), joint=joint), CommunityLayout.contiguous(sizes)
+
+
+def _wsi_instance(sizes, model, seed):
+    if model == "community":
+        m, lay = _community_model(sizes)
+    else:
+        m, lay = homogeneous_model(copy_joint(3) if model == "copy3" else dsbs_joint(0.25), sizes)
+    return anonymize(sample_pair(m, lay, seed), "wsi", shuffle_seed=seed)
+
+
+SMALL_EPS = (0.2, 0.3, 0.45, None)  # None: the default schedule
+
+
+@pytest.mark.parametrize("sizes,model,seed,eps_list", [
+    ((1, 3), "community", 2, SMALL_EPS),  # the intra block of community 1 has no slot
+    ((1, 3), "copy3", 1, SMALL_EPS),
+    ((2, 2), "community", 2, SMALL_EPS),
+    ((2, 2), "copy3", 1, SMALL_EPS),
+    ((2, 3), "community", 1, SMALL_EPS),
+    ((2, 3), "copy3", 1, SMALL_EPS),
+    ((3, 3), "community", 1, (0.3, 0.45, None)),
+    ((3, 3), "dsbs", 2, (0.3, 0.45, None)),
+    ((2, 2, 2), "community", 0, (None,)),
+])
+def test_wsi_set_matches_scalar_loop(monkeypatch, sizes, model, seed, eps_list):
+    inst = _wsi_instance(sizes, model, seed)
+    n = inst.n
+    eps_list = [default_epsilon(n) if e is None else e for e in eps_list]
+    sizes_seen = set()
+    for full_sweep in ([False, True] if n <= 5 else [False]):
+        want = _brute_wsi(inst, eps_list, full_sweep)
+        for chunk in (matcher._WSI_CHUNK, 1 << 8):  # 1 << 8: several chunks per instance
+            monkeypatch.setattr(matcher, "_WSI_CHUNK", chunk)
+            for eps in eps_list:
+                s = ambiguity_set_wsi(inst, eps=eps, full_sweep=full_sweep)
+                assert {p.mapping for p in s} == want[eps], (full_sweep, chunk, eps)
+                keys = [p.inverse().mapping for p in s]
+                assert keys == sorted(keys)
+                sizes_seen.add(len(s))
+    # every case keeps a proper, nonempty subset at some eps
+    assert sizes_seen - {0, math.factorial(n)}
+
+
+@pytest.mark.parametrize("sizes,model,seed,eps", [
+    ((2, 3), "community", 1, 0.45),
+    ((3, 3), "community", 1, 0.3),
+    ((3, 3), "dsbs", 2, 0.45),
+    ((4, 3), "community", 0, 0.3),
+    ((2, 2, 2), "copy3", 1, None),
+])
+def test_wsi_run_matching_selects_from_the_set(sizes, model, seed, eps):
+    inst = _wsi_instance(sizes, model, seed)
+    s = ambiguity_set_wsi(inst, eps=eps)
+    assert 0 < len(s) < math.factorial(inst.n)
+    truth = inst.sealed_truth()
+    for pick in range(4):
+        res = run_matching(inst, eps=eps, seed=pick)
+        assert res.labeling == select_labeling(s, seed=pick)
+        assert res.diagnostics.ambiguity_size == len(s)
+        assert res.diagnostics.candidate_space == s.candidate_space
+        assert res.diagnostics.truth_included == (truth in s)
+        assert res.accuracy == inst.score(res.labeling)
 
 
 def test_wsi_full_sweep_is_superset():
@@ -303,6 +408,19 @@ def test_run_matching_non_contiguous_communities():
     s = ambiguity_set_csi(inst, eps=eps)
     assert res.labeling == select_labeling(s, seed=2)
     assert {p.mapping for p in s} == _brute_csi(inst, eps)
+
+
+def test_run_matching_non_contiguous_picks_in_canonical_order():
+    inst = _instance(seed=5, sizes=(4, 4), membership=(0, 1, 0, 1, 0, 1, 0, 1))
+    s = ambiguity_set_csi(inst, eps=1.0)
+    assert len(s) == math.factorial(4) ** 2
+    keys = [p.inverse().mapping for p in s]
+    assert keys == sorted(keys)
+    for pick in range(6):
+        res = run_matching(inst, eps=1.0, seed=pick)
+        assert res.labeling == select_labeling(s, seed=pick)
+        assert res.diagnostics.ambiguity_size == len(s)
+        assert res.diagnostics.truth_included
 
 
 def test_truth_included_iff_truth_typical():
