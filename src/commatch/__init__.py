@@ -26,7 +26,7 @@ from .model import (CommunityLayout, EdgeAlphabet, EdgeMarginal,
                     save_model, single_community, uniform_product_joint,
                     validate_model)
 from .oracle import (ExactProbability, derangement_count, enumerate_labelings,
-                     exact_typicality_probability)
+                     exact_typicality_probability, unrestricted_csi_labelings)
 from .permutation import (CycleStructure, Labeling, Permutation,
                           cycle_decomposition, cycle_parameter_space,
                           fixed_point_fraction, from_labelings, from_one_based,

@@ -358,8 +358,9 @@ def _cmd_scan(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = argparse.ArgumentParser(
@@ -368,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and region checks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", parents=[common],
+    g = sub.add_parser("generate", parents=[seed, common],
                        help="sample a correlated pair and write an anonymized instance")
     g.add_argument("--model", required=True)
     g.add_argument("--mode", choices=("csi", "wsi"), default="csi")
@@ -376,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="relabeling seed (default: --seed)")
     g.set_defaults(func=_cmd_generate)
 
-    m = sub.add_parser("match", parents=[common], help="run the typicality matcher")
+    m = sub.add_parser("match", parents=[seed, common], help="run the typicality matcher")
     m.add_argument("--input", required=True)
     m.add_argument("--mode", choices=("csi", "wsi"), default=None,
                    help="override the mode recorded in the instance file")
@@ -408,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", required=True)
     v.set_defaults(func=_cmd_verify)
 
-    k = sub.add_parser("campaign", parents=[common], help="seeded matching trials")
+    k = sub.add_parser("campaign", parents=[seed, common], help="seeded matching trials")
     k.add_argument("--model", required=True)
     k.add_argument("--n", type=int, required=True)
     k.add_argument("--mode", choices=("csi", "wsi"), default="csi")

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .model import (CommunityLayout, PairedEdgeModel, read_json_document,
-                    validate_model)
+from .model import (CommunityLayout, PairedEdgeModel, model_from_document,
+                    read_json_document, validate_model)
 from .permutation import Labeling, Permutation, from_one_based, to_one_based
 from .typicality import block_slots
 
@@ -209,6 +209,11 @@ def save_instance(inst: MatchingInstance, path, extra: Optional[dict] = None) ->
         fh.write("\n")
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: int, but not bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _ut_violations(flat, key: str, n: int, l: int) -> list[str]:
     """Problems of one strict-upper-triangle edge value list (first found)."""
     want = n * (n - 1) // 2
@@ -216,7 +221,7 @@ def _ut_violations(flat, key: str, n: int, l: int) -> list[str]:
         got = f"{len(flat)} values" if isinstance(flat, list) else type(flat).__name__
         return [f"{key} must list {want} edge values for n={n}, got {got}"]
     for i, v in enumerate(flat):
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             return [f"{key}[{i}] is not an integer: {v!r}"]
         if not 0 <= v < l:
             return [f"{key}[{i}] = {v} is outside the edge alphabet [0, {l})"]
@@ -230,7 +235,7 @@ def _community_map_violations(raw: dict, key: str, sizes: tuple[int, ...]) -> li
     m, c = raw[key], len(sizes)
     if not isinstance(m, list) or len(m) != sum(sizes):
         return [f"{key} must list one community per vertex (n={sum(sizes)})"]
-    if any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < c for v in m):
+    if any(not _is_int(v) or not 0 <= v < c for v in m):
         return [f"{key} entries must be community indices in [0, {c})"]
     counts = [m.count(i) for i in range(c)]
     if counts != list(sizes):
@@ -249,14 +254,7 @@ def load_instance(path, mode: Optional[str] = None) -> MatchingInstance:
     missing = [k for k in ("l", "communities", "joint", "g1_ut", "g2_ut", "truth") if k not in raw]
     if missing:
         raise ValidationError([f"missing instance key: {k}" for k in missing])
-    from .model import EdgeAlphabet  # local to avoid clutter above
-
-    layout = CommunityLayout.contiguous(raw["communities"])
-    model = PairedEdgeModel(alphabet=EdgeAlphabet(int(raw["l"])),
-                            joint=np.asarray(raw["joint"], dtype=float))
-    report = validate_model(model, layout)
-    if not report.ok:
-        raise ValidationError(report.violations)
+    model, layout = model_from_document(raw)
     n = layout.n
     use_mode = mode or raw.get("mode", "csi")
     if use_mode not in ("csi", "wsi"):
@@ -267,9 +265,14 @@ def load_instance(path, mode: Optional[str] = None) -> MatchingInstance:
     if csi:
         for key in ("comm1_of_label", "comm2_of_vertex"):
             problems += _community_map_violations(raw, key, layout.sizes)
+    truth = raw["truth"]
+    if (not isinstance(truth, list) or any(not _is_int(v) for v in truth)
+            or sorted(truth) != list(range(1, n + 1))):
+        problems.append(f"truth must list a permutation of 1..{n}")
+    problems += [f"{key} must be an integer, got {raw[key]!r}"
+                 for key in ("seed", "shuffle_seed") if key in raw and not _is_int(raw[key])]
     if problems:
         raise ValidationError(problems)
-    truth = from_one_based(raw["truth"])
     return MatchingInstance(
         n=n,
         sizes=layout.sizes,
@@ -279,7 +282,7 @@ def load_instance(path, mode: Optional[str] = None) -> MatchingInstance:
         g2_values=_ut_matrix(raw["g2_ut"], n),
         comm1_of_label=tuple(raw["comm1_of_label"]) if csi else None,
         comm2_of_vertex=tuple(raw["comm2_of_vertex"]) if csi else None,
-        seed=int(raw.get("seed", 0)),
-        shuffle_seed=int(raw.get("shuffle_seed", 0)),
-        _truth=truth,
+        seed=raw.get("seed", 0),
+        shuffle_seed=raw.get("shuffle_seed", 0),
+        _truth=from_one_based(truth),
     )

@@ -28,11 +28,12 @@ Every count is checked against the integer window `typicality.count_windows`
 derives from the float expression of `is_jointly_typical`, so the decisions
 agree with it bit for bit.
 
-Canonical member order everywhere is lexicographic by the inverse mapping
-(label -> anonymized vertex). The wsi mask is in that order, and so is the
-csi grid in row-major order when label communities are contiguous; other csi
-survivors are sorted as small-int rows. Seeded selection indexes into that
-order.
+An ambiguity set is a boolean mask over a grid of candidates: one axis per
+community for csi, one axis over all n! labelings for wsi. Canonical member
+order is lexicographic by the inverse mapping (label -> anonymized vertex):
+row-major grid order when label communities are contiguous (always for wsi),
+else the order of the survivors' sorted small-int rows. Size, membership and
+seeded selection decode at most one member; iteration decodes lazily.
 """
 
 from __future__ import annotations
@@ -41,46 +42,61 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
-from typing import Iterable, Optional
+from itertools import product
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import EmptyAmbiguitySetError, ParameterError, SizeGuardError
 from .graphgen import MatchingInstance, _philox
 from .permutation import Labeling, Permutation
-from .typicality import blocks_jointly_typical, count_windows, default_epsilon, paired_blocks
+from .typicality import count_windows, default_epsilon
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
 _SELECT_TAG = 0x9E1B
 
 
 @dataclass(frozen=True)
-class AmbiguitySet:
-    """Labelings that survived the typicality test, in canonical order.
+class _Grid:
+    """Candidates as a grid: cell (r_1, ..., r_c) maps the labels labels_of[i]
+    onto the vertices verts_of[i] permuted by perms[i][r_i], for every axis i."""
 
-    candidate_space counts the hypotheses examined: prod_i n_i! (csi
-    restricted), n! (csi unrestricted), or n! times the number of swept
+    labels_of: list[np.ndarray]
+    verts_of: list[np.ndarray]
+    perms: list[np.ndarray]  # per axis, (R_i, k_i), lex order
+    mask: np.ndarray         # bool, shape (R_1, ..., R_c): the survivors
+
+
+# Members decoded per step of AmbiguitySet iteration; mask cells per step of selection.
+_SET_CHUNK = 1 << 12
+
+
+@dataclass(frozen=True, eq=False)
+class AmbiguitySet:
+    """Labelings that survived the typicality test: a mask over a grid.
+
+    Iteration yields the members in canonical order; len, `in` and
+    select_labeling decode at most one of them. candidate_space counts the
+    hypotheses examined: prod_i n_i! (csi) or n! times the number of swept
     assignments (wsi).
     """
 
-    labelings: tuple[Labeling, ...]
+    grid: _Grid
     eps: float
     mode: str
     candidate_space: int
 
     def __len__(self) -> int:
-        return len(self.labelings)
+        return int(np.count_nonzero(self.grid.mask))
 
-    def __iter__(self):
-        return iter(self.labelings)
+    def __iter__(self) -> Iterator[Labeling]:
+        cells = _sorted_cells(self.grid)
+        for c0 in range(0, len(cells), _SET_CHUNK):
+            yield from _decode(_grid_rows(self.grid, cells[c0:c0 + _SET_CHUNK]))
 
     def __contains__(self, lab: Labeling) -> bool:
-        return any(m.mapping == lab.mapping for m in self.labelings)
-
-
-def _sorted_members(members: Iterable[Labeling]) -> list[Labeling]:
-    return sorted(members, key=lambda p: p.inverse().mapping)
+        idx = _truth_index(self.grid, lab)
+        return idx is not None and bool(self.grid.mask[idx])
 
 
 # -- csi fast path ------------------------------------------------------------
@@ -90,15 +106,6 @@ def _sorted_members(members: Iterable[Labeling]) -> list[Labeling]:
 # the i-th community's sorted labels onto its sorted anonymized vertices. The
 # typicality of the intra block i depends only on rho_i; of the inter block
 # (i, j) only on (rho_i, rho_j).
-
-@dataclass(frozen=True)
-class _CsiGrid:
-    labels_of: list[np.ndarray]
-    verts_of: list[np.ndarray]
-    perms: list[np.ndarray]  # per community, (R_i, k_i), lex order
-    mask: np.ndarray         # bool, shape (R_1, ..., R_c), row-major == canonical order
-    candidate_space: int
-
 
 @lru_cache(maxsize=None)
 def _perm_table(k: int) -> np.ndarray:
@@ -133,15 +140,11 @@ def _onehot_table(k: int) -> np.ndarray:
 
 def _lex_rank(rho: np.ndarray) -> int:
     """Lex rank of a permutation of range(len(rho)), from its Lehmer code."""
+    rho = rho.tolist()  # a Python loop: per-element numpy calls cost ~4x more
     rank = 0
-    for q in range(len(rho)):
-        rank = rank * (len(rho) - q) + int((rho[q + 1:] < rho[q]).sum())
+    for q, v in enumerate(rho):
+        rank = rank * (len(rho) - q) + sum(w < v for w in rho[q + 1:])
     return rank
-
-
-def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Indices sorting rows lexicographically (first column most significant)."""
-    return np.lexsort(rows.T[::-1])
 
 
 def _decode(rows: np.ndarray) -> tuple[Labeling, ...]:
@@ -234,7 +237,7 @@ def _inter_mask(g1: np.ndarray, g2: np.ndarray,
     return ok
 
 
-def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _CsiGrid:
+def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
     if inst.comm1_of_label is None or inst.comm2_of_vertex is None:
         raise ParameterError("csi matching needs community maps on both sides")
     c, joint = inst.c, inst.model.joint
@@ -263,11 +266,10 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _CsiGrid:
                               verts_of[j], joint[i, j], eps)
             mask &= mij.reshape(
                 tuple(shape[ax] if ax in (i, j) else 1 for ax in range(c)))
-    return _CsiGrid(labels_of=labels_of, verts_of=verts_of, perms=perms,
-                    mask=mask, candidate_space=total)
+    return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, mask=mask)
 
 
-def _grid_rows(grid: _CsiGrid, idx: np.ndarray) -> np.ndarray:
+def _grid_rows(grid: _Grid, idx: np.ndarray) -> np.ndarray:
     """Label -> vertex rows of the grid cells idx, (len(idx), n) small ints."""
     n = sum(len(g) for g in grid.labels_of)
     rows = np.empty((len(idx), n), dtype=np.min_scalar_type(n))
@@ -276,55 +278,60 @@ def _grid_rows(grid: _CsiGrid, idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _labeling_at(grid: _CsiGrid, idx: tuple[int, ...]) -> Labeling:
-    return _decode(_grid_rows(grid, np.asarray([idx])))[0]
-
-
-def _truth_index(grid: _CsiGrid, truth: Labeling) -> Optional[tuple[int, ...]]:
-    """Grid coordinates of the true labeling, None when not community-preserving."""
+def _truth_index(grid: _Grid, truth: Labeling) -> Optional[tuple[int, ...]]:
+    """Grid coordinates of a labeling, None when it is not in the grid."""
     tinv = np.asarray(truth.inverse().mapping)
     idx = []
     for labels, verts in zip(grid.labels_of, grid.verts_of):
         vs = tinv[labels]
         if not np.array_equal(np.sort(vs), verts):
             return None
-        idx.append(_lex_rank(np.searchsorted(verts, vs)))  # positions within the community
+        idx.append(_lex_rank(np.searchsorted(verts, vs)))  # positions within the axis
     return tuple(idx)
+
+
+def _contiguous(grid: _Grid) -> bool:
+    """Whether row-major grid order is canonical (axis labels run 0..n-1)."""
+    labels = np.concatenate(grid.labels_of)
+    return np.array_equal(labels, np.arange(len(labels)))
+
+
+def _sorted_cells(grid: _Grid) -> np.ndarray:
+    """Coordinates of the survivors, (|S|, axes), in canonical order."""
+    cells = np.argwhere(grid.mask)
+    if _contiguous(grid):
+        return cells
+    rows = _grid_rows(grid, cells)
+    return cells[np.lexsort(rows.T[::-1])]  # first column most significant
+
+
+def _member_at(grid: _Grid, k: int) -> Labeling:
+    """The k-th survivor in canonical order; on contiguous grids found by
+    counting survivors chunk by chunk, without listing every survivor."""
+    if _contiguous(grid):
+        flat = grid.mask.reshape(-1)
+        for c0 in range(0, flat.size, _SET_CHUNK):
+            chunk = flat[c0:c0 + _SET_CHUNK]
+            hits = np.count_nonzero(chunk)
+            if k < hits:
+                cell = np.unravel_index(c0 + np.flatnonzero(chunk)[k], grid.mask.shape)
+                break
+            k -= hits
+    else:
+        cell = _sorted_cells(grid)[k]
+    return _decode(_grid_rows(grid, np.asarray([cell])))[0]
 
 
 # -- public constructors ------------------------------------------------------
 
 def ambiguity_set_csi(inst: MatchingInstance,
                       eps: Optional[float] = None,
-                      restrict: bool = True,
                       cap: int = DEFAULT_CANDIDATE_CAP) -> AmbiguitySet:
-    """All typical candidates given community maps on both sides.
-
-    restrict=True (default) enumerates only community-preserving labelings;
-    restrict=False scans all n! labelings with the same per-block test, which
-    exists to measure the gap at small n. Non-preserving candidates pair each
-    side's blocks positionally, so the restricted set is always a subset.
-    """
+    """All typical community-preserving candidates given community maps on
+    both sides; `oracle.unrestricted_csi_labelings` scans all n! instead."""
     eps = default_epsilon(inst.n) if eps is None else eps
-    if restrict:
-        grid = _csi_grid(inst, eps, cap)
-        rows = _grid_rows(grid, np.argwhere(grid.mask))
-        return AmbiguitySet(_decode(rows[_lex_order(rows)]), eps, "csi",
-                            grid.candidate_space)
-    if inst.comm1_of_label is None or inst.comm2_of_vertex is None:
-        raise ParameterError("csi matching needs community maps on both sides")
-    n = inst.n
-    total = math.factorial(n)
-    if total > cap:
-        raise SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
-    joint = inst.model.joint
-    members = []
-    for ltv in permutations(range(n)):  # lex in the inverse mapping == canonical
-        blocks = paired_blocks(inst.g1_values, inst.comm1_of_label,
-                               inst.g2_values, ltv, inst.comm2_of_vertex, inst.c)
-        if blocks_jointly_typical(blocks, joint, eps):
-            members.append(Permutation(ltv).inverse())
-    return AmbiguitySet(tuple(members), eps, "csi", total)
+    grid = _csi_grid(inst, eps, cap)
+    return AmbiguitySet(grid, eps, "csi", grid.mask.size)
 
 
 def _assignments_with_sizes(n: int, sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -456,21 +463,19 @@ def ambiguity_set_wsi(inst: MatchingInstance,
     """
     eps = default_epsilon(inst.n) if eps is None else eps
     assignments, total = _wsi_assignments(inst, full_sweep, cap)
-    mask = _wsi_mask(inst, eps, assignments)
-    return AmbiguitySet(_decode(_perm_table(inst.n)[mask]), eps, "wsi", total)
-
-
-def _select_rank(size: int, seed: int, mode: str, eps: float) -> int:
-    """Seeded uniform rank into a canonically ordered set of size members."""
-    if size == 0:
-        raise EmptyAmbiguitySetError(f"ambiguity set empty (mode {mode}, eps {eps})")
-    return int(_philox(seed, _SELECT_TAG).integers(size))
+    everyone = np.arange(inst.n)
+    grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(inst.n)],
+                 mask=_wsi_mask(inst, eps, assignments))
+    return AmbiguitySet(grid, eps, "wsi", total)
 
 
 def select_labeling(s: AmbiguitySet, seed: int) -> Labeling:
-    """Uniform seeded pick; deterministic given the set's contents and seed."""
-    k = _select_rank(len(s), seed, s.mode, s.eps)
-    return _sorted_members(s.labelings)[k]
+    """Uniform seeded pick in canonical order; deterministic given the set's
+    contents and seed."""
+    size = len(s)
+    if size == 0:
+        raise EmptyAmbiguitySetError(f"ambiguity set empty (mode {s.mode}, eps {s.eps})")
+    return _member_at(s.grid, int(_philox(seed, _SELECT_TAG).integers(size)))
 
 
 # -- end to end ---------------------------------------------------------------
@@ -498,51 +503,20 @@ def run_matching(inst: MatchingInstance,
                  cap: int = DEFAULT_CANDIDATE_CAP) -> MatchResult:
     """Build the mode's ambiguity set, pick a member, score against the truth.
 
-    Both paths select from the boolean candidate mask without building a
-    Labeling per member, in select_labeling's canonical order: the wsi mask
-    and, for contiguous label communities, the row-major csi grid are in that
-    order; otherwise the csi survivors' label -> vertex rows are sorted.
     truth_included is evaluation-side information taken from the sealed truth
     after the choice is made.
     """
     t0 = time.perf_counter()
     eps = default_epsilon(inst.n) if eps is None else eps
-    if inst.mode == "csi":
-        grid = _csi_grid(inst, eps, cap)
-        rows = grid.mask.reshape(len(grid.mask), -1)
-        per_row = np.count_nonzero(rows, axis=1)
-        size = int(per_row.sum())
-        k = _select_rank(size, seed, "csi", eps)
-        contiguous = np.array_equal(
-            np.concatenate(grid.labels_of), np.arange(inst.n))
-        if contiguous:
-            # k-th survivor in row-major order, without listing every survivor
-            ends = np.cumsum(per_row)
-            r = int(np.searchsorted(ends, k, side="right"))
-            col = int(np.flatnonzero(rows[r])[k - ends[r] + per_row[r]])
-            idx = np.unravel_index(r * rows.shape[1] + col, grid.mask.shape)
-            chosen = _labeling_at(grid, tuple(int(v) for v in idx))
-        else:
-            ltv = _grid_rows(grid, np.argwhere(grid.mask))
-            chosen = _decode(ltv[_lex_order(ltv)[k:k + 1]])[0]
-        space = grid.candidate_space
-        tidx = _truth_index(grid, inst.sealed_truth())
-        truth_in = bool(grid.mask[tidx]) if tidx is not None else False
-    else:
-        assignments, space = _wsi_assignments(inst, False, cap)
-        mask = _wsi_mask(inst, eps, assignments)
-        hits = np.flatnonzero(mask)
-        size = len(hits)
-        k = _select_rank(size, seed, "wsi", eps)
-        chosen = _decode(_perm_table(inst.n)[hits[k:k + 1]])[0]
-        truth_in = bool(mask[_lex_rank(np.asarray(inst.sealed_truth().inverse().mapping))])
-    acc = inst.score(chosen)
+    build = ambiguity_set_csi if inst.mode == "csi" else ambiguity_set_wsi
+    s = build(inst, eps, cap=cap)
+    chosen = select_labeling(s, seed)
     diag = MatchDiagnostics(
         mode=inst.mode,
         eps=eps,
-        ambiguity_size=size,
-        candidate_space=space,
-        truth_included=truth_in,
+        ambiguity_size=len(s),
+        candidate_space=s.candidate_space,
+        truth_included=inst.sealed_truth() in s,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    return MatchResult(labeling=chosen, accuracy=acc, diagnostics=diag)
+    return MatchResult(labeling=chosen, accuracy=inst.score(chosen), diagnostics=diag)

@@ -264,12 +264,10 @@ def read_json_document(path, kind: str) -> dict:
     return raw
 
 
-def load_model(path) -> tuple[PairedEdgeModel, CommunityLayout]:
-    """Load and validate a model file; raises ValidationError when broken."""
-    raw = read_json_document(path, "model")
-    problems = [k for k in ("l", "communities", "joint") if k not in raw]
-    if problems:
-        raise ValidationError([f"missing model file key: {k}" for k in problems])
+def model_from_document(raw: dict) -> tuple[PairedEdgeModel, CommunityLayout]:
+    """Model and layout from the "l", "communities" and "joint" entries of a
+    model or instance document, validated; every problem, including entries
+    that are not numbers, raises ValidationError."""
     try:
         alphabet = EdgeAlphabet(int(raw["l"]))
         layout = CommunityLayout.contiguous([int(s) for s in raw["communities"]])
@@ -281,10 +279,21 @@ def load_model(path) -> tuple[PairedEdgeModel, CommunityLayout]:
         model = PairedEdgeModel(alphabet=alphabet, joint=joint)
     except ParameterError as e:
         raise ValidationError([str(e)]) from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError([f"l, communities and joint must hold numbers: {e}"]) from None
     report = validate_model(model, layout)
     if not report.ok:
         raise ValidationError(report.violations)
     return model, layout
+
+
+def load_model(path) -> tuple[PairedEdgeModel, CommunityLayout]:
+    """Load and validate a model file; raises ValidationError when broken."""
+    raw = read_json_document(path, "model")
+    problems = [k for k in ("l", "communities", "joint") if k not in raw]
+    if problems:
+        raise ValidationError([f"missing model file key: {k}" for k in problems])
+    return model_from_document(raw)
 
 
 def save_model(model: PairedEdgeModel, layout: CommunityLayout, path) -> None:

@@ -9,6 +9,12 @@ and labelings are enumerated rather than constructed.
 pair of length n, counting the event that the (optionally permuted) pair is
 jointly eps-typical. When every model entry is rational (Fraction or int) the
 result is an exact Fraction; float models fall back to compensated summation.
+
+`unrestricted_csi_labelings` scans all n! labelings of an instance and, as
+the one exception to exact windows, decides each with the scalar float test
+`typicality.blocks_jointly_typical`: the matcher's integer count windows
+reproduce that test bit for bit, while exact windows disagree with both on
+boundary counts, so only the float test checks the matcher's sets exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ParameterError, SizeGuardError
+from .graphgen import MatchingInstance
 from .model import CommunityLayout
 from .permutation import Labeling, Permutation
+from .typicality import blocks_jointly_typical, paired_blocks
 
 DEFAULT_OUTCOME_CAP = 100_000_000
 _CHUNK = 1 << 18
@@ -218,3 +226,19 @@ def enumerate_labelings(layout: CommunityLayout,
             yield from rec(ci + 1, mapping)
 
     yield from rec(0, [0] * n)
+
+
+def unrestricted_csi_labelings(inst: MatchingInstance, eps: float) -> list[Labeling]:
+    """Every one of the n! labelings whose paired blocks are all jointly
+    eps-typical. Blocks pair each side's communities positionally, so the
+    community-preserving members are exactly the csi ambiguity set."""
+    if inst.comm1_of_label is None or inst.comm2_of_vertex is None:
+        raise ParameterError("csi matching needs community maps on both sides")
+    members = []
+    for sigma in enumerate_labelings(CommunityLayout.contiguous(inst.sizes),
+                                     community_preserving=False):
+        blocks = paired_blocks(inst.g1_values, inst.comm1_of_label, inst.g2_values,
+                               sigma.inverse().mapping, inst.comm2_of_vertex, inst.c)
+        if blocks_jointly_typical(blocks, inst.model.joint, eps):
+            members.append(sigma)
+    return members

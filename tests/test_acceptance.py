@@ -39,7 +39,8 @@ from commatch.model import (
     save_model,
     uniform_product_joint,
 )
-from commatch.oracle import derangement_count, exact_typicality_probability
+from commatch.oracle import (derangement_count, exact_typicality_probability,
+                             unrestricted_csi_labelings)
 from commatch.permutation import (
     Permutation,
     cycle_parameter_space,
@@ -183,7 +184,7 @@ def test_5_set_containment_and_shared_region_code():
             for eps in (0.45, 0.7, 1.0):
                 restricted = {p.mapping for p in ambiguity_set_csi(inst, eps=eps)}
                 unrestricted = {p.mapping
-                                for p in ambiguity_set_csi(inst, eps=eps, restrict=False)}
+                                for p in unrestricted_csi_labelings(inst, eps=eps)}
                 if not restricted <= unrestricted:
                     worst = (sizes, seed, eps, "containment")
                 if len(sizes) == 1 and restricted != unrestricted:

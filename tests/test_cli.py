@@ -160,6 +160,15 @@ MALFORMED = {
     "short comm2_of_vertex": _drop_last("comm2_of_vertex"),
     "community out of range": _set_first("comm1_of_label", 2),
     "community sizes differ": _move_vertex_to_community_2,
+    "l not a number": lambda doc: doc.update(l="x"),
+    "community size not a number": lambda doc: doc.update(communities=["a", 3]),
+    "joint not numbers": lambda doc: doc.update(joint="x"),
+    "seed not a number": lambda doc: doc.update(seed="x"),
+    "shuffle_seed a float": lambda doc: doc.update(shuffle_seed=1.5),
+    "truth entry not a number": _set_first("truth", "a"),
+    "truth shorter than n": lambda doc: doc.update(truth=[2, 1]),
+    "truth repeats a label": lambda doc: doc.update(truth=[1] * 6),
+    "truth 0-based": lambda doc: doc.update(truth=[v - 1 for v in doc["truth"]]),
 }
 # community maps are read under mode csi only
 WSI_IGNORES = {"no comm1_of_label", "no comm2_of_vertex", "short comm2_of_vertex",
@@ -183,6 +192,43 @@ def test_malformed_instance_is_validation_error(tmp_path, model_c2, capsys, name
         load_instance(bad, mode=mode)
     assert main(argv) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+MALFORMED_MODEL = {
+    "l not a number": {"l": "x"},
+    "l null": {"l": None},
+    "community size not a number": {"communities": ["a", 3]},
+    "communities not a list": {"communities": 6},
+    "joint not numbers": {"joint": [[["x"]]]},
+    "ragged joint": {"joint": [[[[0.4, 0.1], [0.5]]]]},
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_MODEL))
+def test_malformed_model_is_validation_error(tmp_path, model_c2, capsys, name):
+    doc = json.loads(open(model_c2).read())
+    doc.update(MALFORMED_MODEL[name])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        load_model(bad)
+    assert main(["region", "--model", str(bad), "--n", "10"]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--n", "10"],
+    ["converse", "--n", "10"],
+    ["verify", "--check", "prop1", "--n", "3", "--eps", "0.25"],
+    ["scan", "--n-list", "10"],
+], ids=lambda argv: argv[0])
+def test_seed_is_not_accepted_where_unread(model_c1, capsys, argv):
+    argv = argv + ["--model", model_c1]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_negative_eps_is_parameter_error(tmp_path, model_c2, capsys):

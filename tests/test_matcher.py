@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,7 +12,7 @@ from commatch.matcher import (
     DEFAULT_CANDIDATE_CAP,
     AmbiguitySet,
     _csi_grid,
-    _labeling_at,
+    _Grid,
     _lex_rank,
     _onehot_table,
     _perm_table,
@@ -30,6 +31,7 @@ from commatch.model import (
     homogeneous_model,
     single_community,
 )
+from commatch.oracle import unrestricted_csi_labelings
 from commatch.permutation import Permutation
 from commatch.typicality import (
     blocks_jointly_typical,
@@ -54,6 +56,10 @@ def _typical(inst, sigma, eps):
     blocks = paired_blocks(inst.g1_values, inst.comm1_of_label,
                            inst.g2_values, ltv, inst.comm2_of_vertex, inst.c)
     return blocks_jointly_typical(blocks, inst.model.joint, eps)
+
+
+def _labeling_at(grid, idx):
+    return matcher._decode(matcher._grid_rows(grid, np.asarray([idx])))[0]
 
 
 def _blocks(inst, sigma):
@@ -202,9 +208,8 @@ def test_restricted_is_subset_of_unrestricted():
     for seed in range(3):
         inst = _instance(seed=seed, sizes=(3, 2), joint=dsbs_joint(0.3))
         restricted = {p.mapping for p in ambiguity_set_csi(inst, eps=0.35)}
-        unrestricted = ambiguity_set_csi(inst, eps=0.35, restrict=False)
+        unrestricted = unrestricted_csi_labelings(inst, eps=0.35)
         assert restricted <= {p.mapping for p in unrestricted}
-        assert unrestricted.candidate_space == math.factorial(5)
 
 
 def test_csi_subset_of_wsi():
@@ -377,13 +382,84 @@ def test_select_labeling_is_deterministic():
     assert len({select_labeling(s, seed=k).mapping for k in range(20)}) > 1
 
 
+def _one_axis_set(n, mask):
+    # a one-axis grid over all n! labelings, the shape of a wsi set
+    everyone = np.arange(n)
+    grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(n)],
+                 mask=np.asarray(mask, dtype=bool))
+    return AmbiguitySet(grid, eps=0.1, mode="wsi", candidate_space=len(mask))
+
+
 def test_select_from_singleton_and_empty():
     only = Permutation((1, 0))
-    s = AmbiguitySet((only,), eps=0.1, mode="csi", candidate_space=2)
+    s = _one_axis_set(2, [False, True])
     assert select_labeling(s, seed=99) == only
-    empty = AmbiguitySet((), eps=0.1, mode="csi", candidate_space=2)
+    empty = _one_axis_set(2, [False, False])
     with pytest.raises(EmptyAmbiguitySetError):
         select_labeling(empty, seed=0)
+
+
+def _random_mask_set(sizes, membership, seed):
+    # a real csi grid (or a one-axis n = 5 grid) with a seeded random mask
+    rng = np.random.default_rng(seed)
+    if sizes is None:
+        return _one_axis_set(5, rng.random(120) < 0.3)
+    grid = _csi_grid(_instance(seed, sizes=sizes, membership=membership), 1.0,
+                     DEFAULT_CANDIDATE_CAP)
+    grid = dataclasses.replace(grid, mask=rng.random(grid.mask.shape) < 0.3)
+    return AmbiguitySet(grid, 1.0, "csi", grid.mask.size)
+
+
+@pytest.mark.parametrize("sizes,membership", [
+    ((2, 3), None),
+    ((2, 3), (0, 1, 1, 0, 1)),
+    ((3, 3), None),
+    ((3, 3), (0, 1, 0, 1, 0, 1)),
+    ((2, 2, 2), None),
+    ((2, 2, 2), (2, 0, 1, 0, 1, 2)),
+    (None, None),  # one axis, n = 5
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_member_at_equals_sorted_iteration(monkeypatch, sizes, membership, seed):
+    monkeypatch.setattr(matcher, "_SET_CHUNK", 5)  # many chunks per grid
+    s = _random_mask_set(sizes, membership, seed)
+    grid = s.grid
+    members = list(s)
+    assert 0 < len(s) == len(members) < grid.mask.size
+    assert [matcher._member_at(grid, k) for k in range(len(s))] == members
+    keys = [p.inverse().mapping for p in members]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    cells = np.argwhere(grid.mask)
+    assert {p.mapping for p in members} == {_labeling_at(grid, tuple(c)).mapping for c in cells}
+    assert all(p in s for p in members)
+    outside = np.argwhere(~grid.mask)
+    pick = outside[np.random.default_rng(seed).integers(len(outside))]
+    assert _labeling_at(grid, tuple(pick)) not in s
+    if sizes is not None:
+        # swap the first labels of two communities: not community-preserving
+        ltv = list(members[0].inverse().mapping)
+        a, b = grid.labels_of[0][0], grid.labels_of[1][0]
+        ltv[a], ltv[b] = ltv[b], ltv[a]
+        assert Permutation(tuple(ltv)).inverse() not in s
+
+
+def test_len_in_and_select_decode_at_most_one_row(monkeypatch):
+    decoded = []
+    decode = matcher._decode
+
+    def counting(rows):
+        decoded.append(len(rows))
+        return decode(rows)
+
+    monkeypatch.setattr(matcher, "_decode", counting)
+    inst = _instance(seed=5, sizes=(4, 4), membership=(0, 1, 0, 1, 0, 1, 0, 1))
+    s = ambiguity_set_csi(inst, eps=1.0)
+    assert len(s) == math.factorial(4) ** 2
+    assert decoded == []
+    assert inst.sealed_truth() in s
+    assert decoded == []
+    select_labeling(s, seed=3)
+    assert decoded == [1]
 
 
 @pytest.mark.parametrize("mode", ["csi", "wsi"])

@@ -169,6 +169,9 @@ def test_enumerate_all_labelings():
     out = list(enumerate_labelings(lay, community_preserving=False))
     assert len(out) == 6
     assert len({p.mapping for p in out}) == 6
+    # the 5! candidates unrestricted_csi_labelings scans on (3, 2) instances
+    out = list(enumerate_labelings(CommunityLayout.contiguous((3, 2)), False))
+    assert len({p.mapping for p in out}) == len(out) == math.factorial(5)
 
 
 def test_enumerate_order_is_stable():
