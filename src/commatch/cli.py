@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -357,7 +358,9 @@ def _cmd_scan(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common = argparse.ArgumentParser(add_help=False)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .model import (CommunityLayout, PairedEdgeModel, model_from_document,
+from .model import (CommunityLayout, PairedEdgeModel, _is_int, model_from_document,
                     read_json_document, validate_model)
 from .permutation import Labeling, Permutation, from_one_based, to_one_based
 from .typicality import block_slots
@@ -207,11 +207,6 @@ def save_instance(inst: MatchingInstance, path, extra: Optional[dict] = None) ->
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
-
-
-def _is_int(v) -> bool:
-    """A JSON integer: int, but not bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _ut_violations(flat, key: str, n: int, l: int) -> list[str]:

@@ -16,6 +16,15 @@ block counts for all permutation pairs come from matrix products with one-hot
 permutation tables (one product pair per cell with both symbols >= 1, the
 other cells from marginal totals).
 
+Most csi blocks are decided from their margins before anything is counted.
+A community-preserving candidate only permutes the second graph's slots within
+a block, so both graphs' symbol totals in the block are the same for every
+candidate, and each cell count is one of those totals plus or minus a sum of
+hot counts (both symbols >= 1) that stays in a range the totals fix. A block
+whose windows contain their whole ranges passes for every candidate and is
+never counted; a block with a window that misses its range passes for none,
+and the grid is empty without counting any block. Only the rest are counted.
+
 The wsi path counts all labelings under all assignments at once. Under an
 assignment the vertex side's communities are the assignment read through the
 candidate, so every label pair falls in the same block on both sides: the
@@ -138,6 +147,16 @@ def _onehot_table(k: int) -> np.ndarray:
     return onehot
 
 
+@lru_cache(maxsize=None)
+def _pair_slots(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a k x k matrix,
+    row-major; shared, hence read-only."""
+    slots = np.triu_indices(k, 1)
+    for a in slots:
+        a.setflags(write=False)
+    return slots
+
+
 def _lex_rank(rho: np.ndarray) -> int:
     """Lex rank of a permutation of range(len(rho)), from its Lehmer code."""
     rho = rho.tolist()  # a Python loop: per-element numpy calls cost ~4x more
@@ -152,23 +171,88 @@ def _decode(rows: np.ndarray) -> tuple[Labeling, ...]:
     return tuple(Permutation(tuple(inv)) for inv in np.argsort(rows, axis=1).tolist())
 
 
-def _intra_mask(g1: np.ndarray, g2: np.ndarray, labels: np.ndarray, verts: np.ndarray,
-                perms: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
-    k = len(labels)
-    if k < 2:
-        return np.ones(len(perms), dtype=bool)
-    s1, s2 = np.triu_indices(k, 1)
-    xv = g1[labels[s1], labels[s2]]
-    b = g2[np.ix_(verts, verts)]
-    gathered = b[perms[:, s1], perms[:, s2]]  # (R, S)
-    lo, hi = count_windows(p, eps, len(s1))
+def _block_windows(p: np.ndarray, eps: float, vals1: np.ndarray,
+                   vals2: np.ndarray) -> Optional[dict[tuple, tuple[int, int]]]:
+    """The windows that decide one block, or None when no candidate passes it.
+
+    vals1 and vals2 are the block's slot values in the first and second graph,
+    in any slot order. A community-preserving candidate only permutes the
+    second graph's slots within the block, so the symbol totals r_x of vals1
+    and c_y of vals2 are the same for every candidate.
+
+    Cell (x, y) with both symbols >= 1 is hot. Every cell count is a constant
+    plus or minus the sum of the hot counts over a rectangle X x Y of hot
+    cells, so each `count_windows` window is a window on that sum, keyed by
+    (X, Y); windows on the same sum intersect (at l = 2 all four cells
+    constrain the single hot count). The sum counts the slots with a first
+    symbol in X and a second in Y, so under every candidate it lies in
+    [max(0, r_X + c_Y - slots), min(r_X, c_Y)]. A window containing that whole
+    range holds for every candidate and is dropped, so {} means every
+    candidate passes; a window missing it holds for none.
+    """
+    slots = vals1.size
+    if slots == 0:  # zero-length pairs are typical
+        return {}
     l = p.shape[0]
-    ok = np.ones(len(perms), dtype=bool)
+    lo, hi = (w.tolist() for w in count_windows(p, eps, slots))
+    rowsum = np.bincount(vals1.ravel(), minlength=l).tolist()
+    colsum = np.bincount(vals2.ravel(), minlength=l).tolist()
+    hot = tuple(range(1, l))
+    base = slots - sum(rowsum[1:]) - sum(colsum[1:])
+    folded: dict[tuple, tuple[int, int]] = {}
     for x in range(l):
-        on_x = xv == x
         for y in range(l):
-            cnt = ((gathered == y) & on_x[None, :]).sum(axis=1)
-            ok &= (cnt >= lo[x, y]) & (cnt <= hi[x, y])
+            cl, ch = lo[x][y], hi[x][y]
+            if x and y:
+                w = (cl, ch)
+            elif x:  # rowsum[x] - sum of row x's hot cells
+                w = (rowsum[x] - ch, rowsum[x] - cl)
+            elif y:  # colsum[y] - sum of column y's hot cells
+                w = (colsum[y] - ch, colsum[y] - cl)
+            else:  # base + sum of all hot cells
+                w = (cl - base, ch - base)
+            key = ((x,) if x else hot, (y,) if y else hot)
+            old = folded.get(key, w)
+            folded[key] = (max(old[0], w[0]), min(old[1], w[1]))
+    windows = {}
+    for (xset, yset), (wlo, whi) in folded.items():
+        r, c = sum(rowsum[x] for x in xset), sum(colsum[y] for y in yset)
+        rlo, rhi = max(0, r + c - slots), min(r, c)
+        if max(wlo, rlo) > min(whi, rhi):
+            return None
+        if wlo > rlo or whi < rhi:
+            windows[xset, yset] = (wlo, whi)
+    return windows
+
+
+def _hot_cells(windows: dict[tuple, tuple[int, int]]) -> list[tuple[int, int]]:
+    """The hot cells some window sums over."""
+    return sorted({xy for xset, yset in windows for xy in product(xset, yset)})
+
+
+def _within(ok: np.ndarray, hot: dict[tuple[int, int], np.ndarray],
+            windows: dict[tuple, tuple[int, int]]) -> None:
+    """ok &= every window holding on its sum of the hot counts hot[x, y]."""
+    for (xset, yset), (wlo, whi) in windows.items():
+        cells = list(product(xset, yset))
+        s = hot[cells[0]]
+        for xy in cells[1:]:
+            s = s + hot[xy]
+        ok &= s >= wlo
+        ok &= s <= whi
+
+
+def _intra_mask(a: np.ndarray, b: np.ndarray, perms: np.ndarray,
+                windows: dict[tuple, tuple[int, int]]) -> np.ndarray:
+    """Typicality mask of one intra block over the rows of perms, from the
+    block's (k, k) value matrices a (labels) and b (vertices)."""
+    s1, s2 = _pair_slots(len(a))
+    xv = a[s1, s2]
+    gathered = b[perms[:, s1], perms[:, s2]]  # (R, S)
+    hot = {(x, y): np.count_nonzero((gathered == y) & (xv == x), axis=1)
+           for x, y in _hot_cells(windows)}
+    ok = np.ones(len(perms), dtype=bool)
+    _within(ok, hot, windows)
     return ok
 
 
@@ -176,64 +260,28 @@ def _intra_mask(g1: np.ndarray, g2: np.ndarray, labels: np.ndarray, verts: np.nd
 _INTER_CHUNK = 1 << 20
 
 
-def _inter_mask(g1: np.ndarray, g2: np.ndarray,
-                labels_i: np.ndarray, labels_j: np.ndarray,
-                verts_i: np.ndarray, verts_j: np.ndarray,
-                p: np.ndarray, eps: float) -> np.ndarray:
-    """Typicality mask of one inter block over all (rho_i, rho_j) pairs.
+def _inter_mask(a: np.ndarray, b: np.ndarray,
+                windows: dict[tuple, tuple[int, int]]) -> np.ndarray:
+    """Typicality mask of one inter block over all (rho_i, rho_j) pairs, from
+    the block's (k_i, k_j) value matrices a (labels) and b (vertices).
 
-    A cell with both symbols >= 1 counts
+    Hot cell (x, y) counts
     sum_{q1,q2} 1{A[q1,q2]=x} 1{B[rho_i(q1), rho_j(q2)]=y}
     = (E_i @ kron(1{A=x}, 1{B=y}) @ E_j^T)[rho_i, rho_j] with the one-hot
     tables E of `_onehot_table`; every product and partial sum is a small
-    integer, so float32 is exact. The remaining cells follow from the
-    permutation-invariant marginal totals. rho_j is processed in chunks so
-    no more than a few (R_i, chunk) count arrays are alive at once.
+    integer, so float32 is exact. rho_j is processed in chunks so no more
+    than a few (R_i, chunk) count arrays are alive at once.
     """
-    a = g1[np.ix_(labels_i, labels_j)]
-    b = g2[np.ix_(verts_i, verts_j)]
-    k_i, k_j = a.shape
-    slots = k_i * k_j
-    l = p.shape[0]
-    e_i = _onehot_table(k_i)
-    e_j = _onehot_table(k_j)
+    e_i = _onehot_table(a.shape[0])
+    e_j = _onehot_table(a.shape[1])
     ri, rj = len(e_i), len(e_j)
-    lo, hi = count_windows(p, eps, slots)
-    rowsum = [int((a == x).sum()) for x in range(l)]
-    colsum = [int((b == y).sum()) for y in range(l)]
-    # Every cell count is a constant plus or minus a sum of hot counts, so each
-    # cell window is a window on that sum, and windows on the same sum
-    # intersect (at l = 2 all four cells constrain the single hot count).
-    hot_cells = [(x, y) for x in range(1, l) for y in range(1, l)]
-    base = slots - sum(rowsum[1:]) - sum(colsum[1:])
-    windows: dict[tuple, tuple[int, int]] = {}
-    for x in range(l):
-        for y in range(l):
-            cl, ch = int(lo[x, y]), int(hi[x, y])
-            if x and y:
-                key, w = ((x, y),), (cl, ch)
-            elif x:  # rowsum[x] - sum of row x's hot cells
-                key, w = tuple((x, v) for v in range(1, l)), (rowsum[x] - ch, rowsum[x] - cl)
-            elif y:  # colsum[y] - sum of column y's hot cells
-                key, w = tuple((u, y) for u in range(1, l)), (colsum[y] - ch, colsum[y] - cl)
-            else:  # base + sum of all hot cells
-                key, w = tuple(hot_cells), (cl - base, ch - base)
-            old = windows.get(key, w)
-            windows[key] = (max(old[0], w[0]), min(old[1], w[1]))
-    left = {xy: e_i @ np.kron(a == xy[0], b == xy[1]).astype(np.float32)
-            for xy in hot_cells}  # (R_i, k_j^2) each
+    left = {(x, y): e_i @ np.kron(a == x, b == y).astype(np.float32)
+            for x, y in _hot_cells(windows)}  # (R_i, k_j^2) each
     ok = np.ones((ri, rj), dtype=bool)
     step = max(1, _INTER_CHUNK // ri)
     for c0 in range(0, rj, step):
         ej_t = e_j[c0:c0 + step].T
-        hot = {xy: m @ ej_t for xy, m in left.items()}
-        okc = ok[:, c0:c0 + step]
-        for cells, (wlo, whi) in windows.items():
-            s = hot[cells[0]]
-            for xy in cells[1:]:
-                s = s + hot[xy]
-            okc &= s >= wlo
-            okc &= s <= whi
+        _within(ok[:, c0:c0 + step], {xy: m @ ej_t for xy, m in left.items()}, windows)
     return ok
 
 
@@ -255,17 +303,28 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
         raise SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
     perms = [_perm_table(len(g)) for g in labels_of]
     shape = tuple(len(p) for p in perms)
-    mask = np.ones(shape, dtype=bool)
     g1, g2 = inst.g1_values, inst.g2_values
+    # Margins decide a block for every candidate or leave it to be counted;
+    # all of them are read before any counting starts.
+    counted = []
     for i in range(c):
-        mi = _intra_mask(g1, g2, labels_of[i], verts_of[i], perms[i], joint[i, i], eps)
-        mask &= mi.reshape(tuple(shape[i] if ax == i else 1 for ax in range(c)))
-    for i in range(c):
-        for j in range(i + 1, c):
-            mij = _inter_mask(g1, g2, labels_of[i], labels_of[j], verts_of[i],
-                              verts_of[j], joint[i, j], eps)
-            mask &= mij.reshape(
-                tuple(shape[ax] if ax in (i, j) else 1 for ax in range(c)))
+        for j in range(i, c):
+            a = g1[labels_of[i][:, None], labels_of[j]]
+            b = g2[verts_of[i][:, None], verts_of[j]]
+            if i == j:
+                ut = _pair_slots(len(a))
+                windows = _block_windows(joint[i, i], eps, a[ut], b[ut])
+            else:
+                windows = _block_windows(joint[i, j], eps, a, b)
+            if windows is None:
+                return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms,
+                             mask=np.zeros(shape, dtype=bool))
+            if windows:
+                counted.append((i, j, a, b, windows))
+    mask = np.ones(shape, dtype=bool)
+    for i, j, a, b, windows in counted:
+        m = _intra_mask(a, b, perms[i], windows) if i == j else _inter_mask(a, b, windows)
+        mask &= m.reshape(tuple(shape[ax] if ax in (i, j) else 1 for ax in range(c)))
     return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, mask=mask)
 
 

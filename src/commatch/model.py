@@ -264,13 +264,23 @@ def read_json_document(path, kind: str) -> dict:
     return raw
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: int, but not bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def model_from_document(raw: dict) -> tuple[PairedEdgeModel, CommunityLayout]:
     """Model and layout from the "l", "communities" and "joint" entries of a
-    model or instance document, validated; every problem, including entries
-    that are not numbers, raises ValidationError."""
+    model or instance document, validated; every problem, including an l or
+    community size that is not a JSON integer and joint entries that are not
+    numbers, raises ValidationError."""
+    l, sizes = raw["l"], raw["communities"]
+    if not _is_int(l) or not isinstance(sizes, list) or not all(_is_int(s) for s in sizes):
+        raise ValidationError(
+            [f"l and communities must hold integers, got l={l!r}, communities={sizes!r}"])
     try:
-        alphabet = EdgeAlphabet(int(raw["l"]))
-        layout = CommunityLayout.contiguous([int(s) for s in raw["communities"]])
+        alphabet = EdgeAlphabet(l)
+        layout = CommunityLayout.contiguous(sizes)
         joint = np.asarray(raw["joint"], dtype=float)
         if joint.shape != (layout.c, layout.c, alphabet.size, alphabet.size):
             raise ValidationError(

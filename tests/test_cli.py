@@ -162,6 +162,9 @@ MALFORMED = {
     "community sizes differ": _move_vertex_to_community_2,
     "l not a number": lambda doc: doc.update(l="x"),
     "community size not a number": lambda doc: doc.update(communities=["a", 3]),
+    # int() would truncate these to the instance's own l = 2 and sizes (3, 3)
+    "l fractional": lambda doc: doc.update(l=2.9),
+    "community sizes fractional": lambda doc: doc.update(communities=[3.7, 3.2]),
     "joint not numbers": lambda doc: doc.update(joint="x"),
     "seed not a number": lambda doc: doc.update(seed="x"),
     "shuffle_seed a float": lambda doc: doc.update(shuffle_seed=1.5),
@@ -199,6 +202,9 @@ MALFORMED_MODEL = {
     "l null": {"l": None},
     "community size not a number": {"communities": ["a", 3]},
     "communities not a list": {"communities": 6},
+    "l fractional": {"l": 2.9},
+    "community sizes fractional": {"communities": [3.7, 3.2]},
+    "community size a bool": {"communities": [True, 5]},
     "joint not numbers": {"joint": [[["x"]]]},
     "ragged joint": {"joint": [[[[0.4, 0.1], [0.5]]]]},
 }

@@ -11,6 +11,7 @@ from commatch.graphgen import anonymize, sample_pair
 from commatch.matcher import (
     DEFAULT_CANDIDATE_CAP,
     AmbiguitySet,
+    _block_windows,
     _csi_grid,
     _Grid,
     _lex_rank,
@@ -30,11 +31,13 @@ from commatch.model import (
     dsbs_joint,
     homogeneous_model,
     single_community,
+    uniform_product_joint,
 )
 from commatch.oracle import unrestricted_csi_labelings
 from commatch.permutation import Permutation
 from commatch.typicality import (
     blocks_jointly_typical,
+    count_windows,
     default_epsilon,
     joint_type,
     paired_blocks,
@@ -113,10 +116,11 @@ def test_csi_set_matches_brute_force_other_layouts(sizes):
 
 
 @pytest.mark.parametrize("sizes", [(4, 4), (2, 3, 4)])
-@pytest.mark.parametrize("joint", [copy_joint(2), dsbs_joint(0.25)], ids=["copy", "dsbs"])
+@pytest.mark.parametrize("joint", [copy_joint(2), dsbs_joint(0.25), copy_joint(3)],
+                         ids=["copy", "dsbs", "copy3"])
 def test_csi_full_grid_matches_scalar_test(sizes, joint):
     # unequal community sizes exercise the one-hot/kron index layout of the
-    # inter masks
+    # inter masks; copy(3) exercises windows on sums of several hot cells
     inst = _instance(seed=5, sizes=sizes, joint=joint)
     cands = [(sigma.mapping, _blocks(inst, sigma)) for sigma in _preserving(inst)]
     assert len(cands) == math.prod(math.factorial(k) for k in sizes)
@@ -159,6 +163,129 @@ def test_csi_grid_keeps_float_boundary_counts():
         counts = joint_type(*blocks.blocks[(0, 1)], shape=(2, 2)).counts
         on_boundary += typical and 5 in (counts[0, 0], counts[1, 1])
     assert on_boundary > 0
+
+
+# -- margin verdicts ------------------------------------------------------------
+
+def _tables(l, slots):
+    """Every l x l joint type with the given slot count, (N, l, l)."""
+    cells = l * l
+    bars = np.array(list(itertools.combinations(range(slots + cells - 1), cells - 1)))
+    edges = np.hstack([np.full((len(bars), 1), -1), bars,
+                       np.full((len(bars), 1), slots + cells - 1)])
+    return (np.diff(edges, axis=1) - 1).reshape(-1, l, l)
+
+
+def _slot_values(table):
+    """Aligned first- and second-graph slot values with this joint type."""
+    l = len(table)
+    xs = np.repeat(np.repeat(np.arange(l), l), table.ravel())
+    ys = np.repeat(np.tile(np.arange(l), l), table.ravel())
+    return xs, ys
+
+
+def _holds(windows, tables):
+    """Whether every window holds on the tables' sums over its rectangle."""
+    ok = np.ones(len(tables), dtype=bool)
+    for (xs, ys), (wlo, whi) in windows.items():
+        s = tables[:, list(xs)][:, :, list(ys)].sum(axis=(1, 2))
+        ok &= (s >= wlo) & (s <= whi)
+    return ok
+
+
+def _passes(p, eps, tables):
+    lo, hi = count_windows(p, eps, int(tables[0].sum()))
+    return ((tables >= lo) & (tables <= hi)).all(axis=(1, 2))
+
+
+L2_JOINTS = [copy_joint(2), dsbs_joint(0.1), dsbs_joint(0.25), uniform_product_joint(2)]
+
+
+@pytest.mark.parametrize("l, joints, max_slots", [(2, L2_JOINTS, 12), (3, [copy_joint(3)], 6)],
+                         ids=["l2", "copy3"])
+def test_block_windows_decide_every_joint_type(l, joints, max_slots):
+    # Every joint type with every consistent pair of margins, on the 0.05 eps
+    # grid: the block passes exactly when its windows hold, None means no type
+    # with those margins passes and {} that every one does. The helper reads
+    # eps only through count_windows, so each distinct window set runs once.
+    seen = set()
+    for slots in range(1, max_slots + 1):
+        tables = _tables(l, slots)
+        margins = np.hstack([tables.sum(axis=2), tables.sum(axis=1)])
+        uniq, group = np.unique(margins, axis=0, return_inverse=True)
+        group = group.ravel()
+        reps = [tables[np.flatnonzero(group == g)[0]] for g in range(len(uniq))]
+        for p in joints:
+            for eps in [e / 20 for e in range(1, 21)]:
+                lo, hi = count_windows(p, eps, slots)
+                if (slots, lo.tobytes(), hi.tobytes()) in seen:
+                    continue
+                seen.add((slots, lo.tobytes(), hi.tobytes()))
+                want = _passes(p, eps, tables)
+                got = np.empty(len(tables), dtype=bool)
+                for g, rep in enumerate(reps):
+                    members = np.flatnonzero(group == g)
+                    windows = _block_windows(p, eps, *_slot_values(rep))
+                    got[members] = windows is not None and _holds(windows, tables[members])
+                    # at l = 2 a type is fixed by its margins and its single hot
+                    # count, which takes every value of the range: only blocks
+                    # that some types pass and others fail are left to count
+                    if l == 2 and windows:
+                        assert 0 < want[members].sum() < len(members), (slots, eps, rep)
+                assert (got == want).all(), (slots, eps)
+
+
+def test_block_windows_decide_sampled_joint_types():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    joints = [(p, 2) for p in L2_JOINTS] + [(copy_joint(3), 3), (uniform_product_joint(3), 3)]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from(joints), st.integers(1, 20),
+                      st.lists(st.integers(0, 12), min_size=9, max_size=9))
+    def check(joint, e, counts):
+        p, l = joint
+        table = np.asarray(counts[:l * l]).reshape(l, l)
+        hypothesis.assume(table.sum() > 0)
+        windows = _block_windows(p, e / 20, *_slot_values(table))
+        want = bool(_passes(p, e / 20, table[None])[0])
+        assert (windows is not None and bool(_holds(windows, table[None])[0])) == want
+
+    check()
+
+
+def _refuse_counting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block was counted")
+
+    monkeypatch.setattr(matcher, "_intra_mask", refuse)
+    monkeypatch.setattr(matcher, "_inter_mask", refuse)
+
+
+def test_default_schedule_copy_66_is_decided_on_margins(monkeypatch):
+    _refuse_counting(monkeypatch)
+    inst = _instance(seed=0, sizes=(6, 6), joint=copy_joint(2))
+    res = run_matching(inst, seed=11)
+    assert res.labeling.mapping == (11, 3, 9, 8, 0, 6, 2, 7, 5, 10, 1, 4)
+    assert res.accuracy == 1 / 12
+    d = res.diagnostics
+    assert (d.mode, d.eps) == ("csi", default_epsilon(12))
+    assert d.ambiguity_size == d.candidate_space == math.factorial(6) ** 2
+    assert d.truth_included
+
+
+def test_dead_block_gives_full_shape_empty_grid(monkeypatch):
+    # dsbs(0.1) (3,3,3,3) at eps 0.3: some block's margins leave no typical count
+    inst = _instance(seed=0, sizes=(3, 3, 3, 3), joint=dsbs_joint(0.1))
+    dead = [(i, j) for i in range(4) for j in range(i, 4)
+            if _block_windows(inst.model.joint[i, j], 0.3,
+                              *_blocks(inst, inst.sealed_truth()).blocks[(i, j)]) is None]
+    assert dead
+    _refuse_counting(monkeypatch)
+    s = ambiguity_set_csi(inst, eps=0.3)
+    assert s.grid.mask.shape == (6, 6, 6, 6) and not s.grid.mask.any()
+    assert s.candidate_space == 6 ** 4 and len(s) == 0
+    assert not _typical(inst, inst.sealed_truth(), 0.3)
 
 
 def test_perm_tables_are_shared_and_read_only():
