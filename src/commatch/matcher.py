@@ -20,18 +20,25 @@ Most csi blocks are decided from their margins before anything is counted.
 A community-preserving candidate only permutes the second graph's slots within
 a block, so both graphs' symbol totals in the block are the same for every
 candidate, and each cell count is one of those totals plus or minus a sum of
-hot counts (both symbols >= 1) that stays in a range the totals fix. A block
-whose windows contain their whole ranges passes for every candidate and is
-never counted; a block with a window that misses its range passes for none,
-and the grid is empty without counting any block. Only the rest are counted.
+hot counts (both symbols >= 1) that stays in a range the totals fix. One
+batched fold over a grid's blocks finds them: a block whose windows contain
+their whole ranges passes for every candidate and is never counted; a block
+with a window that misses its range passes for none, and the grid is empty
+without counting any block. Only the rest are counted.
 
-The wsi path counts all labelings under all assignments at once. Under an
-assignment the vertex side's communities are the assignment read through the
-candidate, so every label pair falls in the same block on both sides: the
-block layout depends on the assignment alone and the aligned second-graph
-values on the labeling alone. One matrix product of the labelings' slot
-values against a 0/1 table of slots per (assignment, block, first-graph
-symbol) gives every cell count.
+The wsi path decides pairs of community assignments the same way. Under a
+label-side assignment m1 a labeling puts the vertices in the communities m2
+that m1 reads through it, and every label pair falls in the same block on
+both sides, so the block's symbol totals are fixed by m1 in the first graph
+and by m2 in the second for every labeling that meets the pair (m1, m2). The
+same fold, run once over the pairs of swept assignments, marks each pair
+passing, dead or undecided; when some block passes under no margins at all,
+no pair passes and the pairs are not folded. A walk over m1 then keeps every
+labeling that meets a passing pair and drops every one that meets dead
+pairs only; only the rest are counted. Their counts come from one matrix
+product of the labelings' slot values against a 0/1 table of slots per
+(assignment, block, first-graph symbol). A full sweep is the union of the
+sweeps over every set of community sizes.
 
 Every count is checked against the integer window `typicality.count_windows`
 derives from the float expression of `is_jointly_typical`, so the decisions
@@ -50,8 +57,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -76,7 +83,8 @@ class _Grid:
     mask: np.ndarray         # bool, shape (R_1, ..., R_c): the survivors
 
 
-# Members decoded per step of AmbiguitySet iteration; mask cells per step of selection.
+# Members decoded per step of AmbiguitySet iteration; mask cells left to list
+# once selection has halved its range down to them.
 _SET_CHUNK = 1 << 12
 
 
@@ -95,8 +103,12 @@ class AmbiguitySet:
     mode: str
     candidate_space: int
 
-    def __len__(self) -> int:
+    @cached_property
+    def _size(self) -> int:
         return int(np.count_nonzero(self.grid.mask))
+
+    def __len__(self) -> int:
+        return self._size
 
     def __iter__(self) -> Iterator[Labeling]:
         cells = _sorted_cells(self.grid)
@@ -171,58 +183,109 @@ def _decode(rows: np.ndarray) -> tuple[Labeling, ...]:
     return tuple(Permutation(tuple(inv)) for inv in np.argsort(rows, axis=1).tolist())
 
 
-def _block_windows(p: np.ndarray, eps: float, vals1: np.ndarray,
-                   vals2: np.ndarray) -> Optional[dict[tuple, tuple[int, int]]]:
-    """The windows that decide one block, or None when no candidate passes it.
+@lru_cache(maxsize=None)
+def _block_index(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks of c communities: (i, j) rows with i <= j, row-major, and the
+    (c, c) table of block numbers; shared, hence read-only."""
+    iu, ju = np.triu_indices(c)
+    block_of = np.empty((c, c), dtype=np.intp)
+    block_of[iu, ju] = block_of[ju, iu] = np.arange(len(iu))
+    for a in (iu, ju, block_of):
+        a.setflags(write=False)
+    return iu, ju, block_of
 
-    vals1 and vals2 are the block's slot values in the first and second graph,
-    in any slot order. A community-preserving candidate only permutes the
-    second graph's slots within the block, so the symbol totals r_x of vals1
-    and c_y of vals2 are the same for every candidate.
+
+def _block_totals(values: np.ndarray, comm: np.ndarray, c: int, l: int) -> np.ndarray:
+    """Symbol totals (..., block, symbol) of a graph's upper-triangle slots,
+    split into blocks by each community map in comm (..., n); one bincount."""
+    s1, s2 = _pair_slots(len(values))
+    block_of = _block_index(c)[2]
+    lead = comm.shape[:-1]
+    batch = np.arange(math.prod(lead)).reshape(lead + (1,))
+    nb = c * (c + 1) // 2
+    idx = (batch * nb + block_of[comm[..., s1], comm[..., s2]]) * l + values[s1, s2]
+    return np.bincount(idx.ravel(), minlength=batch.size * nb * l).reshape(lead + (nb, l))
+
+
+def _block_windows(rows: np.ndarray, cols: np.ndarray, slots: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray
+                   ) -> tuple[dict[tuple, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+    """The windows that decide blocks, and the blocks their margins decide,
+    over any (broadcast) leading batch shape.
+
+    rows and cols (..., l) hold a block's first- and second-graph symbol
+    totals r_x and c_y, slots (...) its slot count and lo, hi (..., l, l) its
+    `count_windows` windows. Every joint type of the block has these margins:
+    a community-preserving candidate only permutes the second graph's slots
+    within a block, and so does every labeling that meets an assignment pair.
 
     Cell (x, y) with both symbols >= 1 is hot. Every cell count is a constant
     plus or minus the sum of the hot counts over a rectangle X x Y of hot
-    cells, so each `count_windows` window is a window on that sum, keyed by
-    (X, Y); windows on the same sum intersect (at l = 2 all four cells
-    constrain the single hot count). The sum counts the slots with a first
-    symbol in X and a second in Y, so under every candidate it lies in
-    [max(0, r_X + c_Y - slots), min(r_X, c_Y)]. A window containing that whole
-    range holds for every candidate and is dropped, so {} means every
-    candidate passes; a window missing it holds for none.
+    cells, so each count window is a window on that sum, keyed by (X, Y);
+    windows on the same sum intersect (at l = 2 all four cells constrain the
+    single hot count). The sum counts the slots with a first symbol in X and a
+    second in Y, so it lies in [max(0, r_X + c_Y - slots), min(r_X, c_Y)].
+    A window containing that whole range holds for every joint type and is
+    widened to [0, slots]; a window missing it holds for none.
+
+    Returns (windows, all_pass, dead): windows maps each key to its (lo, hi)
+    arrays, all_pass marks the blocks every joint type passes and dead those
+    none passes. Zero-slot blocks, with windows [0, 0], pass.
     """
-    slots = vals1.size
-    if slots == 0:  # zero-length pairs are typical
-        return {}
-    l = p.shape[0]
-    lo, hi = (w.tolist() for w in count_windows(p, eps, slots))
-    rowsum = np.bincount(vals1.ravel(), minlength=l).tolist()
-    colsum = np.bincount(vals2.ravel(), minlength=l).tolist()
+    l = rows.shape[-1]
     hot = tuple(range(1, l))
-    base = slots - sum(rowsum[1:]) - sum(colsum[1:])
-    folded: dict[tuple, tuple[int, int]] = {}
+    r_hot, c_hot = rows[..., 1:].sum(axis=-1), cols[..., 1:].sum(axis=-1)
+    base = slots - r_hot - c_hot
+    folded: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for x in range(l):
         for y in range(l):
-            cl, ch = lo[x][y], hi[x][y]
+            cl, ch = lo[..., x, y], hi[..., x, y]
             if x and y:
                 w = (cl, ch)
-            elif x:  # rowsum[x] - sum of row x's hot cells
-                w = (rowsum[x] - ch, rowsum[x] - cl)
-            elif y:  # colsum[y] - sum of column y's hot cells
-                w = (colsum[y] - ch, colsum[y] - cl)
+            elif x:  # r_x - sum of row x's hot cells
+                w = (rows[..., x] - ch, rows[..., x] - cl)
+            elif y:  # c_y - sum of column y's hot cells
+                w = (cols[..., y] - ch, cols[..., y] - cl)
             else:  # base + sum of all hot cells
                 w = (cl - base, ch - base)
             key = ((x,) if x else hot, (y,) if y else hot)
-            old = folded.get(key, w)
-            folded[key] = (max(old[0], w[0]), min(old[1], w[1]))
+            if key in folded:
+                old = folded[key]
+                w = (np.maximum(old[0], w[0]), np.minimum(old[1], w[1]))
+            folded[key] = w
+    shape = np.broadcast_shapes(base.shape, lo.shape[:-2])
+    all_pass = np.ones(shape, dtype=bool)
+    dead = np.zeros(shape, dtype=bool)
     windows = {}
     for (xset, yset), (wlo, whi) in folded.items():
-        r, c = sum(rowsum[x] for x in xset), sum(colsum[y] for y in yset)
-        rlo, rhi = max(0, r + c - slots), min(r, c)
-        if max(wlo, rlo) > min(whi, rhi):
-            return None
-        if wlo > rlo or whi < rhi:
-            windows[xset, yset] = (wlo, whi)
-    return windows
+        r = rows[..., xset[0]] if len(xset) == 1 else r_hot
+        c = cols[..., yset[0]] if len(yset) == 1 else c_hot
+        rlo, rhi = np.maximum(0, r + c - slots), np.minimum(r, c)
+        dead |= np.maximum(wlo, rlo) > np.minimum(whi, rhi)
+        binds = (wlo > rlo) | (whi < rhi)
+        all_pass &= ~binds
+        windows[xset, yset] = (np.where(binds, wlo, 0), np.where(binds, whi, slots))
+    return windows, all_pass, dead
+
+
+def _block_count_windows(joint: np.ndarray, eps: float, slots: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """`count_windows` of every block, (nb, l, l) each, from the blocks'
+    slot counts (nb,) in `_block_index` order; shared, hence read-only."""
+    joint = np.asarray(joint, dtype=float)
+    return _stacked_windows(joint.tobytes(), joint.shape, float(eps), tuple(slots.tolist()))
+
+
+@lru_cache(maxsize=1 << 10)
+def _stacked_windows(joint_bytes: bytes, shape: tuple[int, ...], eps: float,
+                     slots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    joint = np.frombuffer(joint_bytes).reshape(shape)
+    iu, ju, _ = _block_index(shape[0])
+    lo, hi = (np.stack(w) for w in zip(*(count_windows(joint[i, j], eps, k)
+                                         for i, j, k in zip(iu.tolist(), ju.tolist(), slots))))
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
 
 
 def _hot_cells(windows: dict[tuple, tuple[int, int]]) -> list[tuple[int, int]]:
@@ -306,24 +369,23 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
     g1, g2 = inst.g1_values, inst.g2_values
     # Margins decide a block for every candidate or leave it to be counted;
     # all of them are read before any counting starts.
-    counted = []
-    for i in range(c):
-        for j in range(i, c):
-            a = g1[labels_of[i][:, None], labels_of[j]]
-            b = g2[verts_of[i][:, None], verts_of[j]]
-            if i == j:
-                ut = _pair_slots(len(a))
-                windows = _block_windows(joint[i, i], eps, a[ut], b[ut])
-            else:
-                windows = _block_windows(joint[i, j], eps, a, b)
-            if windows is None:
-                return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms,
-                             mask=np.zeros(shape, dtype=bool))
-            if windows:
-                counted.append((i, j, a, b, windows))
+    rows = _block_totals(g1, comm1, c, inst.model.l)
+    cols = _block_totals(g2, comm2, c, inst.model.l)
+    slots = rows.sum(axis=-1)
+    windows, all_pass, dead = _block_windows(rows, cols, slots,
+                                             *_block_count_windows(joint, eps, slots))
+    if dead.any():
+        return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms,
+                     mask=np.zeros(shape, dtype=bool))
+    iu, ju, _ = _block_index(c)
     mask = np.ones(shape, dtype=bool)
-    for i, j, a, b, windows in counted:
-        m = _intra_mask(a, b, perms[i], windows) if i == j else _inter_mask(a, b, windows)
+    for b in np.flatnonzero(~all_pass).tolist():
+        i, j = int(iu[b]), int(ju[b])
+        a = g1[labels_of[i][:, None], labels_of[j]]
+        v = g2[verts_of[i][:, None], verts_of[j]]
+        binding = {key: (int(wlo[b]), int(whi[b])) for key, (wlo, whi) in windows.items()
+                   if wlo[b] > 0 or whi[b] < slots[b]}
+        m = _intra_mask(a, v, perms[i], binding) if i == j else _inter_mask(a, v, binding)
         mask &= m.reshape(tuple(shape[ax] if ax in (i, j) else 1 for ax in range(c)))
     return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, mask=mask)
 
@@ -364,18 +426,23 @@ def _sorted_cells(grid: _Grid) -> np.ndarray:
     return cells[np.lexsort(rows.T[::-1])]  # first column most significant
 
 
-def _member_at(grid: _Grid, k: int) -> Labeling:
-    """The k-th survivor in canonical order; on contiguous grids found by
-    counting survivors chunk by chunk, without listing every survivor."""
+def _member_at(grid: _Grid, k: int, size: int) -> Labeling:
+    """The k-th of the grid's size survivors in canonical order. On a full
+    contiguous grid it is cell k; on another contiguous grid it is found by
+    halving the range on survivor counts, without listing every survivor."""
     if _contiguous(grid):
         flat = grid.mask.reshape(-1)
-        for c0 in range(0, flat.size, _SET_CHUNK):
-            chunk = flat[c0:c0 + _SET_CHUNK]
-            hits = np.count_nonzero(chunk)
-            if k < hits:
-                cell = np.unravel_index(c0 + np.flatnonzero(chunk)[k], grid.mask.shape)
-                break
-            k -= hits
+        lo, hi = 0, flat.size
+        if size != flat.size:
+            while hi - lo > _SET_CHUNK:
+                mid = (lo + hi) // 2
+                left = np.count_nonzero(flat[lo:mid])
+                if k < left:
+                    hi = mid
+                else:
+                    lo, k = mid, k - left
+            k = np.flatnonzero(flat[lo:hi])[k]
+        cell = np.unravel_index(lo + k, grid.mask.shape)
     else:
         cell = _sorted_cells(grid)[k]
     return _decode(_grid_rows(grid, np.asarray([cell])))[0]
@@ -393,52 +460,139 @@ def ambiguity_set_csi(inst: MatchingInstance,
     return AmbiguitySet(grid, eps, "csi", grid.mask.size)
 
 
-def _assignments_with_sizes(n: int, sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    cur: list[int] = []
+@lru_cache(maxsize=1 << 10)
+def _assignments(sizes: tuple[int, ...]) -> np.ndarray:
+    """Every assignment of sum(sizes) labels to communities with these sizes,
+    (|A|, n) in lex order; shared, hence read-only.
 
-    def rec(pos: int, remaining: list[int]):
-        if pos == n:
-            out.append(tuple(cur))
-            return
-        for i in range(len(sizes)):
-            if remaining[i]:
-                remaining[i] -= 1
-                cur.append(i)
-                rec(pos + 1, remaining)
-                cur.pop()
-                remaining[i] += 1
-
-    rec(0, list(sizes))
+    Built from the tables with one label fewer under each first community f
+    in turn, which keeps lex order, without a tuple per row.
+    """
+    n = sum(sizes)
+    if n == 0:
+        out = np.zeros((1, 0), dtype=np.intp)
+    else:
+        parts = []
+        for f, k in enumerate(sizes):
+            if k:
+                sub = _assignments(sizes[:f] + (k - 1,) + sizes[f + 1:])
+                part = np.empty((len(sub), n), dtype=np.intp)
+                part[:, 0], part[:, 1:] = f, sub
+                parts.append(part)
+        out = np.concatenate(parts)
+    out.setflags(write=False)
     return out
 
 
-def _wsi_assignments(inst: MatchingInstance, full_sweep: bool,
-                     cap: int) -> tuple[list[tuple[int, ...]], int]:
-    """Swept label-side assignments and the candidate space, size-guarded."""
+def _wsi_profiles(inst: MatchingInstance, full_sweep: bool,
+                  cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """Community sizes of the swept label-side assignments and the candidate
+    space, size-guarded before any assignment is built."""
     n, c = inst.n, inst.c
     if full_sweep:
         if n > 8:
             raise SizeGuardError(f"full assignment sweep is limited to n <= 8, got n={n}")
-        assignments = [tuple(m) for m in product(range(c), repeat=n)]
+        count = c ** n
     else:
-        assignments = _assignments_with_sizes(n, inst.sizes)
-    total = math.factorial(n) * len(assignments)
+        count = math.factorial(n) // math.prod(math.factorial(k) for k in inst.sizes)
+    total = math.factorial(n) * count
     if total > cap:
         raise SizeGuardError(
-            f"{math.factorial(n)} candidates x {len(assignments)} assignments "
-            f"exceed cap {cap}")
-    return assignments, total
+            f"{math.factorial(n)} candidates x {count} assignments exceed cap {cap}")
+    if not full_sweep:
+        return [tuple(inst.sizes)], total
+    return [tuple(sizes) for sizes in _compositions(n, c).tolist()], total
 
 
-# Float32 entries of one (rows, columns) count array in _wsi_mask.
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every way to write total as parts ordered non-negative summands,
+    (C(total + parts - 1, parts - 1), parts), from the bar positions."""
+    bars = np.asarray(list(combinations(range(total + parts - 1), parts - 1)), dtype=np.intp)
+    edges = np.hstack([np.full((len(bars), 1), -1), bars.reshape(len(bars), parts - 1),
+                       np.full((len(bars), 1), total + parts - 1)])
+    return np.diff(edges, axis=1) - 1
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d int array: the index of one occurrence of each,
+    and the distinct row of every row (an index into the first array)."""
+    order = np.lexsort(x.T[::-1])
+    xs = x[order]
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = (xs[1:] != xs[:-1]).any(axis=1)
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+# Margin pairs one block may fold in `_can_pass_all`; beyond it the block is
+# assumed to pass under some margins.
+_MARGIN_PAIRS = 1 << 16
+
+
+@lru_cache(maxsize=1 << 10)
+def _can_pass_all(p_bytes: bytes, l: int, eps: float, slots: int) -> bool:
+    """Whether some first- and second-graph margins make every joint type of
+    an l x l block with this many slots pass, by folding every pair of
+    margins; a block that cannot is in no passing assignment pair."""
+    if math.comb(slots + l - 1, l - 1) ** 2 > _MARGIN_PAIRS:
+        return True
+    margins = _compositions(slots, l)
+    lo, hi = count_windows(np.frombuffer(p_bytes).reshape(l, l), eps, slots)
+    _, all_pass, _ = _block_windows(margins[:, None], margins[None], np.asarray(slots), lo, hi)
+    return bool(all_pass.any())
+
+
+def _wsi_pairs(inst: MatchingInstance, eps: float,
+               asg: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Margin verdicts of the assignment pairs (m1, m2), (|A|, |A|) each:
+    whether every labeling that meets the pair passes, and whether the pair
+    is left to be counted; None when no pair can pass.
+
+    A labeling meets (m1, m2) when it maps each label's community under m1
+    onto its vertex's community under m2. It keeps every block's slots in the
+    block, so each block's first-graph totals (under m1) and second-graph
+    totals (under m2) are the margins of its joint type, as in a csi grid.
+    All assignments share their sizes, hence their blocks' slot counts, so a
+    block that passes under no margins at all leaves no pair passing.
+    Otherwise few totals are distinct, and the fold runs once over every
+    (block, first-graph totals) x (block, second-graph totals) that occurs;
+    the verdicts it gives across two different blocks are never read.
+    """
+    c, l = inst.c, inst.model.l
+    joint = np.asarray(inst.model.joint, dtype=float)
+    iu, ju, _ = _block_index(c)
+    sizes = np.bincount(asg[0], minlength=c)
+    slots = np.where(iu == ju, sizes[iu] * (sizes[iu] - 1) // 2, sizes[iu] * sizes[ju])
+    if not all(_can_pass_all(joint[i, j].tobytes(), l, float(eps), k)
+               for i, j, k in zip(iu.tolist(), ju.tolist(), slots.tolist())):
+        return None
+    na = len(asg)
+    rows = _block_totals(inst.g1_values, asg, c, l)  # (|A|, block, symbol)
+    cols = _block_totals(inst.g2_values, asg, c, l)
+    nb = rows.shape[1]
+    lo, hi = _block_count_windows(joint, eps, slots)
+    block = np.broadcast_to(np.arange(nb), (na, nb)).reshape(-1, 1)
+    r_at, r_of = _distinct_rows(np.hstack([block, rows.reshape(-1, l)]))
+    c_at, c_of = _distinct_rows(np.hstack([block, cols.reshape(-1, l)]))
+    b = block[r_at, 0]
+    _, all_pass, dead = _block_windows(rows.reshape(-1, l)[r_at, None], cols.reshape(-1, l)[c_at],
+                                       slots[b, None], lo[b, None], hi[b, None])
+    # 2 passes, 1 is left to count, 0 is dead; a pair takes its worst block
+    state = (all_pass.astype(np.int8) + ~dead).ravel()
+    at = r_of.reshape(na, nb).T[:, :, None] * len(c_at) + c_of.reshape(na, nb).T[:, None, :]
+    verdict = state[at].min(axis=0)  # (m1, m2)
+    return verdict == 2, verdict == 1
+
+
+# Float32 entries of one (rows, columns) count array in _wsi_count.
 _WSI_CHUNK = 1 << 14
 
 
-def _wsi_mask(inst: MatchingInstance, eps: float,
-              assignments: list[tuple[int, ...]]) -> np.ndarray:
-    """bool[n!], in lex label -> vertex order: is the labeling typical under
-    some assignment?
+def _wsi_count(inst: MatchingInstance, eps: float, asg: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """bool per entry of rows (indices into the lex label -> vertex table):
+    is the labeling typical under some assignment of asg? Found by counting.
 
     Under assignment m1 the vertex side's communities are m1 read through the
     candidate, so label pair (u, v) sits in block (m1[u], m1[v]) on both sides
@@ -451,13 +605,10 @@ def _wsi_mask(inst: MatchingInstance, eps: float,
     """
     n, c, l = inst.n, inst.c, inst.model.l
     joint = inst.model.joint
-    s1, s2 = np.triu_indices(n, 1)
-    iu, ju = np.triu_indices(c)
+    s1, s2 = _pair_slots(n)
+    iu, ju, block_of = _block_index(c)
     nb = len(iu)
-    block_of = np.empty((c, c), dtype=np.intp)
-    block_of[iu, ju] = block_of[ju, iu] = np.arange(nb)
-    na = len(assignments)
-    asg = np.asarray(assignments, dtype=np.intp).reshape(na, n)
+    na = len(asg)
     blk = block_of[asg[:, s1], asg[:, s2]]  # (|A|, S)
     # Columns in (block, x, assignment) order, so the test over a labeling's
     # cells reduces across whole rows of assignments.
@@ -466,15 +617,13 @@ def _wsi_mask(inst: MatchingInstance, eps: float,
     w[np.arange(len(s1)), cols] = 1.0
     tot = w.sum(axis=0)  # slots per (block, x, assignment)
     slots = tot.reshape(nb, l, na).sum(axis=1).astype(np.intp)
-    # Zero-slot blocks keep the window [0, 0] every cell passes.
-    lo = np.zeros((nb, l, na, l), dtype=np.float32)
-    hi = np.zeros_like(lo)
+    lo = np.empty((nb, l, na, l), dtype=np.float32)
+    hi = np.empty_like(lo)
     for b in range(nb):
         for k in set(slots[b].tolist()):
-            if k:
-                on = slots[b] == k
-                b_lo, b_hi = count_windows(joint[iu[b], ju[b]], eps, int(k))
-                lo[b][:, on], hi[b][:, on] = b_lo[:, None], b_hi[:, None]
+            on = slots[b] == k
+            b_lo, b_hi = count_windows(joint[iu[b], ju[b]], eps, int(k))
+            lo[b][:, on], hi[b][:, on] = b_lo[:, None], b_hi[:, None]
     lo, hi = lo.reshape(-1, l), hi.reshape(-1, l)
     # Cell y >= 1 bounds the hot count y; cell 0 bounds the sum of all hot
     # counts (at l = 2 both bound the single hot count).
@@ -488,10 +637,10 @@ def _wsi_mask(inst: MatchingInstance, eps: float,
             w_hi = np.minimum(windows[key][1], w_hi)
         windows[key] = (w_lo, w_hi)
     perms = _perm_table(n)
-    ok = np.empty(len(perms), dtype=bool)
+    ok = np.empty(len(rows), dtype=bool)
     step = max(1, _WSI_CHUNK // w.shape[1])
-    for r0 in range(0, len(perms), step):
-        p = perms[r0:r0 + step]
+    for r0 in range(0, len(rows), step):
+        p = perms[rows[r0:r0 + step]]
         g = np.take(inst.g2_values, p[:, s1] * n + p[:, s2])
         hot = {y: (g == y).astype(np.float32) @ w for y in hot_ys}
         fit = np.ones((len(p), na), dtype=bool)  # (labeling, assignment)
@@ -503,6 +652,46 @@ def _wsi_mask(inst: MatchingInstance, eps: float,
             for c0 in range(0, w.shape[1], na):  # one (block, x) group at a time
                 fit &= cell_ok[:, c0:c0 + na]
         ok[r0:r0 + step] = fit.any(axis=1)
+    return ok
+
+
+def _wsi_mask(inst: MatchingInstance, eps: float, sizes: tuple[int, ...]) -> np.ndarray:
+    """bool[n!], in lex label -> vertex order: is the labeling typical under
+    some assignment of the labels with these community sizes?
+
+    Labeling r under m1 meets the pair (m1, m2) with m2[perms[r, u]] = m1[u].
+    m2 is found by its code sum_v m2[v] c^(n-1-v), which equals
+    sum_u m1[u] c^(n-1-perms[r, u]) and orders assignments lexicographically,
+    as they are listed. The walk takes one m1 at a time over the labelings
+    still open, keeps those it meets on a passing pair and stops when none
+    is left; labelings that met no passing pair but some undecided one are
+    counted, and the rest met dead pairs only.
+    """
+    asg = _assignments(sizes)
+    verdicts = _wsi_pairs(inst, eps, asg)
+    perms = _perm_table(inst.n)
+    if verdicts is None or not verdicts[0].any():
+        return _wsi_count(inst, eps, asg, np.arange(len(perms)))
+    passes, undecided = verdicts
+    # codes are below c^n < 2^53 for every n whose labeling table fits in
+    # memory, so float64 products are exact
+    weights = float(inst.c) ** np.arange(inst.n - 1, -1, -1)
+    codes = asg @ weights
+    ok = np.zeros(len(perms), dtype=bool)
+    counted = np.zeros(len(perms), dtype=bool)
+    left = np.arange(len(perms))
+    left_weights = weights[perms]  # c^(n-1-perms[r, u]) of the labelings left
+    for a in np.flatnonzero(passes.any(axis=1) | undecided.any(axis=1)).tolist():
+        m2 = np.searchsorted(codes, left_weights @ asg[a])
+        hit = passes[a, m2]
+        ok[left[hit]] = True
+        counted[left[undecided[a, m2]]] = True
+        left, left_weights = left[~hit], left_weights[~hit]
+        if not left.size:
+            break
+    todo = np.flatnonzero(counted & ~ok)
+    if todo.size:
+        ok[todo] = _wsi_count(inst, eps, asg, todo)
     return ok
 
 
@@ -518,13 +707,16 @@ def ambiguity_set_wsi(inst: MatchingInstance,
     candidate's image of the hypothesis, which is the only pairing with any
     community-preserving candidates, so sweeping assignment pairs reduces to
     sweeping one side. full_sweep drops the size constraint and tries all c^n
-    assignments (guarded to n <= 8).
+    assignments (guarded to n <= 8), one set of community sizes at a time.
     """
     eps = default_epsilon(inst.n) if eps is None else eps
-    assignments, total = _wsi_assignments(inst, full_sweep, cap)
+    profiles, total = _wsi_profiles(inst, full_sweep, cap)
+    mask = np.zeros(math.factorial(inst.n), dtype=bool)
+    for sizes in profiles:
+        mask |= _wsi_mask(inst, eps, sizes)
     everyone = np.arange(inst.n)
     grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(inst.n)],
-                 mask=_wsi_mask(inst, eps, assignments))
+                 mask=mask)
     return AmbiguitySet(grid, eps, "wsi", total)
 
 
@@ -534,7 +726,7 @@ def select_labeling(s: AmbiguitySet, seed: int) -> Labeling:
     size = len(s)
     if size == 0:
         raise EmptyAmbiguitySetError(f"ambiguity set empty (mode {s.mode}, eps {s.eps})")
-    return _member_at(s.grid, int(_philox(seed, _SELECT_TAG).integers(size)))
+    return _member_at(s.grid, int(_philox(seed, _SELECT_TAG).integers(size)), size)
 
 
 # -- end to end ---------------------------------------------------------------

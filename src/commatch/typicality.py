@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,16 +79,32 @@ def is_jointly_typical(x: Sequence[int], y: Sequence[int], p: np.ndarray, eps: f
 
 
 def count_windows(p: np.ndarray, eps: float, slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell inclusive ranges of typical counts out of slots >= 1.
+    """Per-cell inclusive ranges of typical counts out of slots >= 0.
 
     Count k in [0, slots] passes cell (x, y) exactly when
     lo[x, y] <= k <= hi[x, y], i.e. when abs(k / slots - p[x, y]) <= eps as
-    `is_jointly_typical` evaluates it. A cell no count passes gets lo > hi.
+    `is_jointly_typical` evaluates it; with no slots the only count, 0,
+    passes, since zero-length pairs are typical. A cell no count passes gets
+    lo > hi. Results are memoized on (p, eps, slots) and shared, hence
+    read-only.
     """
-    k = np.arange(slots + 1)
-    ok = np.abs(k / slots - np.asarray(p, dtype=float)[..., None]) <= eps
-    lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), slots + 1)
-    hi = slots - ok[..., ::-1].argmax(axis=-1)
+    p = np.asarray(p, dtype=float)
+    return _count_windows(p.tobytes(), p.shape, float(eps), int(slots))
+
+
+@lru_cache(maxsize=1 << 12)
+def _count_windows(p_bytes: bytes, shape: tuple[int, ...], eps: float,
+                   slots: int) -> tuple[np.ndarray, np.ndarray]:
+    p = np.frombuffer(p_bytes).reshape(shape)
+    if slots == 0:
+        lo = hi = np.zeros(shape, dtype=np.intp)
+    else:
+        k = np.arange(slots + 1)
+        ok = np.abs(k / slots - p[..., None]) <= eps
+        lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), slots + 1)
+        hi = slots - ok[..., ::-1].argmax(axis=-1)
+    lo.setflags(write=False)
+    hi.setflags(write=False)
     return lo, hi
 
 

@@ -115,6 +115,24 @@ def test_match_cap_guard_exit_code(tmp_path, model_c2):
                  "--cap", "4"]) == 3
 
 
+def test_wsi_match_is_refused_before_enumerating(tmp_path, monkeypatch):
+    # (15,15) would have C(30,15) ~ 1.55e8 assignments to build
+    from commatch import matcher
+
+    def refuse(*args):
+        raise AssertionError("assignments were built")
+
+    monkeypatch.setattr(matcher, "_assignments", refuse)
+    monkeypatch.setattr(matcher, "_perm_table", refuse)
+    path = tmp_path / "big.json"
+    model, lay = homogeneous_model(dsbs_joint(0.1), (15, 15))
+    save_model(model, lay, path)
+    inst_path = tmp_path / "inst.json"
+    assert main(["generate", "--model", str(path), "--seed", "1", "--mode", "wsi",
+                 "--out", str(inst_path)]) == 0
+    assert main(["match", "--input", str(inst_path)]) == 3
+
+
 def test_invalid_model_exit_code(tmp_path, model_c2):
     bad = tmp_path / "bad.json"
     bad.write_text(open(model_c2).read().replace("0.4", "0.3", 1))

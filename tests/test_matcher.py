@@ -184,18 +184,28 @@ def _slot_values(table):
     return xs, ys
 
 
-def _holds(windows, tables):
-    """Whether every window holds on the tables' sums over its rectangle."""
+def _holds(windows, tables, at):
+    """Whether every window holds on the tables' sums over its rectangle,
+    table t read against batch entry at[t] of the windows."""
     ok = np.ones(len(tables), dtype=bool)
     for (xs, ys), (wlo, whi) in windows.items():
         s = tables[:, list(xs)][:, :, list(ys)].sum(axis=(1, 2))
-        ok &= (s >= wlo) & (s <= whi)
+        ok &= (s >= wlo[at]) & (s <= whi[at])
     return ok
 
 
 def _passes(p, eps, tables):
     lo, hi = count_windows(p, eps, int(tables[0].sum()))
     return ((tables >= lo) & (tables <= hi)).all(axis=(1, 2))
+
+
+def _margin_verdict(p, eps, a, b):
+    """_block_windows of one block, as a batch of one, from its slot values."""
+    l = len(p)
+    rows = np.bincount(np.asarray(a, dtype=np.intp), minlength=l)
+    cols = np.bincount(np.asarray(b, dtype=np.intp), minlength=l)
+    lo, hi = count_windows(p, eps, len(a))
+    return _block_windows(rows[None], cols[None], np.asarray([len(a)]), lo, hi)
 
 
 L2_JOINTS = [copy_joint(2), dsbs_joint(0.1), dsbs_joint(0.25), uniform_product_joint(2)]
@@ -205,16 +215,16 @@ L2_JOINTS = [copy_joint(2), dsbs_joint(0.1), dsbs_joint(0.25), uniform_product_j
                          ids=["l2", "copy3"])
 def test_block_windows_decide_every_joint_type(l, joints, max_slots):
     # Every joint type with every consistent pair of margins, on the 0.05 eps
-    # grid: the block passes exactly when its windows hold, None means no type
-    # with those margins passes and {} that every one does. The helper reads
-    # eps only through count_windows, so each distinct window set runs once.
+    # grid, in one batch per window set: a type passes exactly when its block
+    # is not dead and its windows hold; all_pass blocks pass every type with
+    # their margins and dead ones none. The helper reads eps only through
+    # count_windows, so each distinct window set runs once.
     seen = set()
     for slots in range(1, max_slots + 1):
         tables = _tables(l, slots)
         margins = np.hstack([tables.sum(axis=2), tables.sum(axis=1)])
         uniq, group = np.unique(margins, axis=0, return_inverse=True)
         group = group.ravel()
-        reps = [tables[np.flatnonzero(group == g)[0]] for g in range(len(uniq))]
         for p in joints:
             for eps in [e / 20 for e in range(1, 21)]:
                 lo, hi = count_windows(p, eps, slots)
@@ -222,17 +232,35 @@ def test_block_windows_decide_every_joint_type(l, joints, max_slots):
                     continue
                 seen.add((slots, lo.tobytes(), hi.tobytes()))
                 want = _passes(p, eps, tables)
-                got = np.empty(len(tables), dtype=bool)
-                for g, rep in enumerate(reps):
-                    members = np.flatnonzero(group == g)
-                    windows = _block_windows(p, eps, *_slot_values(rep))
-                    got[members] = windows is not None and _holds(windows, tables[members])
-                    # at l = 2 a type is fixed by its margins and its single hot
-                    # count, which takes every value of the range: only blocks
-                    # that some types pass and others fail are left to count
-                    if l == 2 and windows:
-                        assert 0 < want[members].sum() < len(members), (slots, eps, rep)
+                windows, all_pass, dead = _block_windows(uniq[:, :l], uniq[:, l:],
+                                                         np.asarray(slots), lo, hi)
+                got = ~dead[group] & _holds(windows, tables, group)
                 assert (got == want).all(), (slots, eps)
+                assert want[all_pass[group]].all() and not want[dead[group]].any()
+                # at l = 2 a type is fixed by its margins and its single hot
+                # count, which takes every value of the range: only blocks
+                # that some types pass and others fail are left to count
+                if l == 2:
+                    for g in np.flatnonzero(~all_pass & ~dead):
+                        members = want[group == g]
+                        assert 0 < members.sum() < len(members), (slots, eps, uniq[g])
+
+
+@pytest.mark.parametrize("l, joints, max_slots", [(2, L2_JOINTS, 12), (3, [copy_joint(3)], 5)],
+                         ids=["l2", "copy3"])
+def test_can_pass_all_matches_joint_types(l, joints, max_slots):
+    # some pair of margins makes every joint type with them pass exactly when
+    # _can_pass_all says so
+    for slots in range(max_slots + 1):
+        tables = _tables(l, slots)
+        margins = np.hstack([tables.sum(axis=2), tables.sum(axis=1)])
+        group = np.unique(margins, axis=0, return_inverse=True)[1].ravel()
+        for p in joints:
+            for eps in [e / 20 for e in range(1, 21)]:
+                passes = _passes(p, eps, tables)
+                want = any(passes[group == g].all() for g in np.unique(group))
+                got = matcher._can_pass_all(np.asarray(p, dtype=float).tobytes(), l, eps, slots)
+                assert got == want, (slots, eps)
 
 
 def test_block_windows_decide_sampled_joint_types():
@@ -247,11 +275,22 @@ def test_block_windows_decide_sampled_joint_types():
         p, l = joint
         table = np.asarray(counts[:l * l]).reshape(l, l)
         hypothesis.assume(table.sum() > 0)
-        windows = _block_windows(p, e / 20, *_slot_values(table))
+        windows, all_pass, dead = _margin_verdict(p, e / 20, *_slot_values(table))
         want = bool(_passes(p, e / 20, table[None])[0])
-        assert (windows is not None and bool(_holds(windows, table[None])[0])) == want
+        assert (not dead[0] and bool(_holds(windows, table[None], [0])[0])) == want
+        assert not (all_pass[0] and not want) and not (dead[0] and want)
 
     check()
+
+
+def test_block_windows_pass_zero_slot_blocks():
+    # a batch of zero-slot blocks, with the [0, 0] windows count_windows gives
+    lo, hi = count_windows(copy_joint(3), 0.05, 0)
+    assert not lo.any() and not hi.any()
+    zero = np.zeros((4, 3), dtype=np.intp)
+    windows, all_pass, dead = _block_windows(zero, zero, np.zeros(4, dtype=np.intp), lo, hi)
+    assert all_pass.all() and not dead.any()
+    assert all((wlo == 0).all() and (whi == 0).all() for wlo, whi in windows.values())
 
 
 def _refuse_counting(monkeypatch):
@@ -278,8 +317,8 @@ def test_dead_block_gives_full_shape_empty_grid(monkeypatch):
     # dsbs(0.1) (3,3,3,3) at eps 0.3: some block's margins leave no typical count
     inst = _instance(seed=0, sizes=(3, 3, 3, 3), joint=dsbs_joint(0.1))
     dead = [(i, j) for i in range(4) for j in range(i, 4)
-            if _block_windows(inst.model.joint[i, j], 0.3,
-                              *_blocks(inst, inst.sealed_truth()).blocks[(i, j)]) is None]
+            if _margin_verdict(inst.model.joint[i, j], 0.3,
+                               *_blocks(inst, inst.sealed_truth()).blocks[(i, j)])[2][0]]
     assert dead
     _refuse_counting(monkeypatch)
     s = ambiguity_set_csi(inst, eps=0.3)
@@ -409,6 +448,19 @@ def _wsi_instance(sizes, model, seed):
     return anonymize(sample_pair(m, lay, seed), "wsi", shuffle_seed=seed)
 
 
+def _all_assignments(inst, full_sweep):
+    # the swept label-side assignments, straight from their definition
+    if full_sweep:
+        return np.asarray(list(itertools.product(range(inst.c), repeat=inst.n)))
+    labels = [i for i, k in enumerate(inst.sizes) for _ in range(k)]
+    return np.asarray(sorted(set(itertools.permutations(labels))))
+
+
+def _counted_mask(inst, eps, asg):
+    # every labeling through the counting kernel, no margin verdicts
+    return matcher._wsi_count(inst, eps, asg, np.arange(math.factorial(inst.n)))
+
+
 SMALL_EPS = (0.2, 0.3, 0.45, None)  # None: the default schedule
 
 
@@ -430,6 +482,7 @@ def test_wsi_set_matches_scalar_loop(monkeypatch, sizes, model, seed, eps_list):
     sizes_seen = set()
     for full_sweep in ([False, True] if n <= 5 else [False]):
         want = _brute_wsi(inst, eps_list, full_sweep)
+        asg = _all_assignments(inst, full_sweep)
         for chunk in (matcher._WSI_CHUNK, 1 << 8):  # 1 << 8: several chunks per instance
             monkeypatch.setattr(matcher, "_WSI_CHUNK", chunk)
             for eps in eps_list:
@@ -438,8 +491,123 @@ def test_wsi_set_matches_scalar_loop(monkeypatch, sizes, model, seed, eps_list):
                 keys = [p.inverse().mapping for p in s]
                 assert keys == sorted(keys)
                 sizes_seen.add(len(s))
+                # the counting kernel alone, over every labeling and assignment
+                assert (_counted_mask(inst, eps, asg) == s.grid.mask).all(), (full_sweep, chunk, eps)
     # every case keeps a proper, nonempty subset at some eps
     assert sizes_seen - {0, math.factorial(n)}
+
+
+def _refuse_wsi_counting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a labeling was counted")
+
+    monkeypatch.setattr(matcher, "_wsi_count", refuse)
+
+
+@pytest.mark.parametrize("sizes,seeds", [((3, 3), range(3)), ((4, 3), range(4))])
+def test_default_schedule_wsi_is_decided_on_margins(monkeypatch, sizes, seeds):
+    # dsbs(0.1) at the default eps: every assignment pair passes every block
+    # or has a dead one, so no labeling reaches the counting kernel
+    model, lay = homogeneous_model(dsbs_joint(0.1), sizes)
+    n = sum(sizes)
+    eps = default_epsilon(n)
+    for seed in seeds:
+        inst = anonymize(sample_pair(model, lay, seed), "wsi", shuffle_seed=seed)
+        if n <= 6:
+            want = np.zeros(math.factorial(n), dtype=bool)
+            want[[_lex_rank(np.asarray(p.inverse().mapping))
+                  for p in map(Permutation, _brute_wsi(inst, [eps])[eps])]] = True
+        else:
+            want = _counted_mask(inst, eps, _all_assignments(inst, False))
+        with monkeypatch.context() as m:
+            _refuse_wsi_counting(m)
+            s = ambiguity_set_wsi(inst)
+        assert (s.grid.mask == want).all(), seed
+
+
+def test_tight_eps_skips_the_verdict_fold(monkeypatch):
+    # dsbs(0.1) (4,3) at eps 0.3: the 3-slot block passes every joint type
+    # under no margins, so no pair passes and every labeling is counted
+    model, lay = homogeneous_model(dsbs_joint(0.1), (4, 3))
+    inst = anonymize(sample_pair(model, lay, 2), "wsi", shuffle_seed=2)
+    want = _counted_mask(inst, 0.3, _all_assignments(inst, False))
+
+    def refuse(*args):
+        raise AssertionError("margins were folded")
+
+    monkeypatch.setattr(matcher, "_block_totals", refuse)
+    assert (ambiguity_set_wsi(inst, eps=0.3).grid.mask == want).all()
+    assert 0 < want.sum() < len(want)
+
+
+def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
+    # (3,3) community model at eps 0.45: some labelings meet a passing pair,
+    # some meet only undecided and dead pairs and are counted (some of those
+    # pass), and the rest meet dead pairs only
+    inst = _wsi_instance((3, 3), "community", 1)
+    counted = []
+    count = matcher._wsi_count
+
+    def recording(inst, eps, asg, rows):
+        counted.extend(rows.tolist())
+        return count(inst, eps, asg, rows)
+
+    monkeypatch.setattr(matcher, "_wsi_count", recording)
+    s = ambiguity_set_wsi(inst, eps=0.45)
+    mask = s.grid.mask
+    was_counted = np.zeros_like(mask)
+    was_counted[counted] = True
+    assert len(counted) == was_counted.sum()  # each labeling counted once
+    assert (mask & ~was_counted).any()  # passed on verdicts
+    assert (mask & was_counted).any() and (~mask & was_counted).any()
+    assert (~mask & ~was_counted).any()  # dead on verdicts
+    assert {p.mapping for p in s} == _brute_wsi(inst, [0.45])[0.45]
+
+
+def test_wsi_verdicts_match_counting_sampled():
+    # the verdict walk against the counting kernel over every labeling and
+    # assignment, at l = 2 and 3, with full sweeps and zero-slot blocks
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from([(1, 3), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (3, 2)]),
+                      st.sampled_from(["community", "dsbs", "copy3"]),
+                      st.integers(0, 40), st.integers(2, 16), st.booleans())
+    def check(sizes, model, seed, e, full_sweep):
+        inst = _wsi_instance(sizes, model, seed)
+        got = ambiguity_set_wsi(inst, eps=e / 20, full_sweep=full_sweep).grid.mask
+        want = _counted_mask(inst, e / 20, _all_assignments(inst, full_sweep))
+        assert (got == want).all()
+
+    check()
+
+
+def test_assignments_are_shared_and_in_lex_order():
+    asg = matcher._assignments((2, 0, 1))
+    assert matcher._assignments((2, 0, 1)) is asg and not asg.flags.writeable
+    assert asg.tolist() == [list(m) for m in sorted(set(itertools.permutations([0, 0, 2])))]
+    assert matcher._assignments((0, 0)).shape == (1, 0)
+
+
+def test_wsi_profiles_cover_the_full_sweep():
+    inst = _instance(seed=0, sizes=(2, 2, 1), mode="wsi")
+    profiles, total = matcher._wsi_profiles(inst, True, DEFAULT_CANDIDATE_CAP)
+    assert total == math.factorial(5) * 3 ** 5
+    assert sum(len(matcher._assignments(p)) for p in profiles) == 3 ** 5
+    assert len(set(profiles)) == len(profiles) and (0, 0, 5) in profiles
+    sized, total = matcher._wsi_profiles(inst, False, DEFAULT_CANDIDATE_CAP)
+    assert sized == [(2, 2, 1)] and total == math.factorial(5) * 30
+
+
+def test_wsi_size_guard_comes_before_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("assignments were built")
+
+    monkeypatch.setattr(matcher, "_assignments", refuse)
+    inst = _instance(seed=0, sizes=(10, 10), mode="wsi")
+    with pytest.raises(SizeGuardError, match="184756 assignments"):
+        ambiguity_set_wsi(inst)
 
 
 @pytest.mark.parametrize("sizes,model,seed,eps", [
@@ -553,7 +721,7 @@ def test_member_at_equals_sorted_iteration(monkeypatch, sizes, membership, seed)
     grid = s.grid
     members = list(s)
     assert 0 < len(s) == len(members) < grid.mask.size
-    assert [matcher._member_at(grid, k) for k in range(len(s))] == members
+    assert [matcher._member_at(grid, k, len(s)) for k in range(len(s))] == members
     keys = [p.inverse().mapping for p in members]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     cells = np.argwhere(grid.mask)
@@ -568,6 +736,38 @@ def test_member_at_equals_sorted_iteration(monkeypatch, sizes, membership, seed)
         a, b = grid.labels_of[0][0], grid.labels_of[1][0]
         ltv[a], ltv[b] = ltv[b], ltv[a]
         assert Permutation(tuple(ltv)).inverse() not in s
+
+
+def test_member_at_on_a_full_grid_is_the_cell(monkeypatch):
+    monkeypatch.setattr(matcher, "_SET_CHUNK", 5)
+    s = ambiguity_set_csi(_instance(seed=2, sizes=(2, 3)), eps=1.0)
+    members = list(s)
+    assert len(members) == s.grid.mask.size == 12
+    partial = dataclasses.replace(s.grid, mask=s.grid.mask.copy())
+    partial.mask[0, 0] = False  # one survivor short: found by halving
+    for k, member in enumerate(members):
+        assert matcher._member_at(s.grid, k, len(s)) == member
+        if k:
+            assert matcher._member_at(partial, k - 1, len(s) - 1) == member
+
+
+def test_run_matching_counts_survivors_once(monkeypatch):
+    inst = _instance(seed=5, sizes=(4, 4), joint=dsbs_joint(0.1))
+    cells = math.factorial(4) ** 2
+    counts = []
+    count_nonzero = np.count_nonzero
+
+    def counting(a, *args, **kwargs):
+        counts.append(np.size(a))
+        return count_nonzero(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counting)
+    for eps in (1.0, 0.3):  # a full grid, then a partial one
+        counts.clear()
+        res = run_matching(inst, eps=eps, seed=3)
+        assert counts.count(cells) == 1, eps
+        assert 0 < res.diagnostics.ambiguity_size <= cells
+    assert res.diagnostics.ambiguity_size < cells
 
 
 def test_len_in_and_select_decode_at_most_one_row(monkeypatch):

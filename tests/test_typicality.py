@@ -107,6 +107,19 @@ def test_count_windows_boundaries():
     assert lo[0] > hi[0]
 
 
+def test_count_windows_are_shared_and_read_only():
+    p = np.array([[0.4, 0.1], [0.1, 0.4]])
+    lo, hi = count_windows(p, 0.2, 9)
+    again = count_windows(p.copy(), 0.2, 9)
+    assert again[0] is lo and again[1] is hi
+    assert not lo.flags.writeable and not hi.flags.writeable
+    # same bytes, another shape: another entry
+    assert count_windows(p.reshape(4), 0.2, 9)[0].shape == (4,)
+    # no slots: the only count, 0, passes every cell
+    lo, hi = count_windows(p, 0.05, 0)
+    assert not lo.any() and not hi.any()
+
+
 def test_block_slots_intra_upper_triangle():
     # sorted label order, strict upper triangle, row major
     assert block_slots((2, 0)) == [(0, 2)]
