@@ -52,6 +52,16 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def _file_sha256(path: str) -> str:
+    """sha256 of a model or instance file's bytes, which a config hash keys on
+    so that it follows the file's contents and not the path it was read from."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as e:
+        raise ValidationError([f"cannot read {path}: {e}"]) from None
+
+
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
@@ -189,7 +199,7 @@ def _cmd_generate(args) -> int:
     shuffle = args.shuffle_seed if args.shuffle_seed is not None else args.seed
     pair = sample_pair(model, layout, args.seed)
     inst = anonymize(pair, args.mode, shuffle)
-    h = _config_hash({"command": "generate", "model": args.model,
+    h = _config_hash({"command": "generate", "model": _file_sha256(args.model),
                       "mode": args.mode, "seed": args.seed, "shuffle_seed": shuffle})
     save_instance(inst, args.out, extra={"tool_version": __version__, "config_hash": h})
     return 0
@@ -210,7 +220,7 @@ def _cmd_match(args) -> int:
         "accuracy": res.accuracy,
         "labeling": to_one_based(res.labeling),
         "config_hash": _config_hash({
-            "command": "match", "input": args.input, "mode": args.mode,
+            "command": "match", "input": _file_sha256(args.input), "mode": args.mode,
             "eps": eps, "kappa": args.kappa, "seed": args.seed, "cap": args.cap}),
         "tool_version": __version__,
     }
@@ -223,7 +233,7 @@ def _cmd_region(args) -> int:
     model, layout = load_model(args.model)
     rows = achievability_profile(model, layout, args.n, args.delta, args.grid)
     worst = min(rows, key=lambda r: r.margin_bits)
-    h = _config_hash({"command": "region", "model": args.model, "n": args.n,
+    h = _config_hash({"command": "region", "model": _file_sha256(args.model), "n": args.n,
                       "delta": args.delta, "grid": args.grid})
     buf = io.StringIO()
     for line in (f"tool_version={__version__}", f"config_hash={h}",
@@ -248,7 +258,7 @@ def _cmd_converse(args) -> int:
         "lhs_bits": v.lhs_bits,
         "rhs_bits": v.rhs_bits,
         "impossible": v.impossible,
-        "config_hash": _config_hash({"command": "converse", "model": args.model,
+        "config_hash": _config_hash({"command": "converse", "model": _file_sha256(args.model),
                                      "n": args.n}),
         "tool_version": __version__,
     }
@@ -316,7 +326,7 @@ def _cmd_campaign(args) -> int:
         master_seed=args.seed, eps=args.eps, kappa=args.kappa, cap=args.cap,
     )
     records, summary = run_campaign(cfg)
-    h = _config_hash({"command": "campaign", "model": cfg.model_path, "n": cfg.n,
+    h = _config_hash({"command": "campaign", "model": _file_sha256(cfg.model_path), "n": cfg.n,
                       "mode": cfg.mode, "trials": cfg.trials, "seed": cfg.master_seed,
                       "eps": cfg.eps, "kappa": cfg.kappa, "cap": cfg.cap})
     meta = [f"tool_version={__version__}", f"config_hash={h}"]
@@ -333,7 +343,7 @@ def _cmd_scan(args) -> int:
     ns = [int(v) for v in args.n_list.split(",") if v]
     if not ns:
         raise ParameterError("empty --n-list")
-    h = _config_hash({"command": "scan", "model": args.model, "n_list": ns,
+    h = _config_hash({"command": "scan", "model": _file_sha256(args.model), "n_list": ns,
                       "delta": args.delta, "grid": args.grid})
     buf = io.StringIO()
     for line in (f"tool_version={__version__}", f"config_hash={h}",

@@ -11,10 +11,13 @@ Candidate spaces are enumerated, never searched heuristically, so a size
 guard refuses jobs above a configurable cap. The csi path avoids per-candidate
 Python work by factoring typicality over communities: intra blocks depend on
 one community's assignment, inter blocks on a pair, so per-community
-permutations are enumerated once and combined through boolean masks. Inter
-block counts for all permutation pairs come from matrix products with one-hot
-permutation tables (one product pair per cell with both symbols >= 1, the
-other cells from marginal totals).
+permutations are enumerated once and combined through boolean masks. A
+candidate passes only when every block does, so intra blocks are counted
+first and cut each community's axis down to the permutations that pass; an
+axis left empty empties the set before any inter block is counted. Inter
+block counts for the pairs of survivors come from matrix products with the
+survivors' rows of one-hot permutation tables (one product pair per cell
+with both symbols >= 1, the other cells from marginal totals).
 
 Most csi blocks are decided from their margins before anything is counted.
 A community-preserving candidate only permutes the second graph's slots within
@@ -45,8 +48,9 @@ derives from the float expression of `is_jointly_typical`, so the decisions
 agree with it bit for bit.
 
 An ambiguity set is a boolean mask over a grid of candidates: one axis per
-community for csi, one axis over all n! labelings for wsi. Canonical member
-order is lexicographic by the inverse mapping (label -> anonymized vertex):
+community for csi, over that community's intra survivors in lex order, and
+one axis over all n! labelings for wsi. Canonical member order is
+lexicographic by the inverse mapping (label -> anonymized vertex):
 row-major grid order when label communities are contiguous (always for wsi),
 else the order of the survivors' sorted small-int rows. Size, membership and
 seeded selection decode at most one member; iteration decodes lazily.
@@ -75,11 +79,16 @@ _SELECT_TAG = 0x9E1B
 @dataclass(frozen=True)
 class _Grid:
     """Candidates as a grid: cell (r_1, ..., r_c) maps the labels labels_of[i]
-    onto the vertices verts_of[i] permuted by perms[i][r_i], for every axis i."""
+    onto the vertices verts_of[i] permuted by perms[i][r_i], for every axis i.
+
+    perms[i] holds the rows of `_perm_table(k_i)` whose lex ranks are
+    ranks[i], ascending, or the shared table itself where ranks[i] is None.
+    """
 
     labels_of: list[np.ndarray]
     verts_of: list[np.ndarray]
     perms: list[np.ndarray]  # per axis, (R_i, k_i), lex order
+    ranks: list[Optional[np.ndarray]]
     mask: np.ndarray         # bool, shape (R_1, ..., R_c): the survivors
 
 
@@ -157,6 +166,12 @@ def _onehot_table(k: int) -> np.ndarray:
     onehot[np.arange(len(perms))[:, None], np.arange(k) * k + perms] = 1.0
     onehot.setflags(write=False)
     return onehot
+
+
+def _onehot_rows(k: int, ranks: Optional[np.ndarray]) -> np.ndarray:
+    """Rows of `_onehot_table(k)` at these lex ranks; the shared table itself
+    when ranks is None."""
+    return _onehot_table(k) if ranks is None else _onehot_table(k)[ranks]
 
 
 @lru_cache(maxsize=None)
@@ -323,20 +338,19 @@ def _intra_mask(a: np.ndarray, b: np.ndarray, perms: np.ndarray,
 _INTER_CHUNK = 1 << 20
 
 
-def _inter_mask(a: np.ndarray, b: np.ndarray,
+def _inter_mask(a: np.ndarray, b: np.ndarray, e_i: np.ndarray, e_j: np.ndarray,
                 windows: dict[tuple, tuple[int, int]]) -> np.ndarray:
-    """Typicality mask of one inter block over all (rho_i, rho_j) pairs, from
-    the block's (k_i, k_j) value matrices a (labels) and b (vertices).
+    """Typicality mask of one inter block over the (rho_i, rho_j) pairs of the
+    one-hot rows e_i and e_j (rows of `_onehot_table`), from the block's
+    (k_i, k_j) value matrices a (labels) and b (vertices).
 
     Hot cell (x, y) counts
     sum_{q1,q2} 1{A[q1,q2]=x} 1{B[rho_i(q1), rho_j(q2)]=y}
-    = (E_i @ kron(1{A=x}, 1{B=y}) @ E_j^T)[rho_i, rho_j] with the one-hot
-    tables E of `_onehot_table`; every product and partial sum is a small
-    integer, so float32 is exact. rho_j is processed in chunks so no more
-    than a few (R_i, chunk) count arrays are alive at once.
+    = (E_i @ kron(1{A=x}, 1{B=y}) @ E_j^T)[rho_i, rho_j]; every product and
+    partial sum is a small integer, so float32 is exact. rho_j is processed
+    in chunks so no more than a few (R_i, chunk) count arrays are alive at
+    once.
     """
-    e_i = _onehot_table(a.shape[0])
-    e_j = _onehot_table(a.shape[1])
     ri, rj = len(e_i), len(e_j)
     left = {(x, y): e_i @ np.kron(a == x, b == y).astype(np.float32)
             for x, y in _hot_cells(windows)}  # (R_i, k_j^2) each
@@ -359,9 +373,7 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
     for i in range(c):
         if len(labels_of[i]) != len(verts_of[i]):
             raise ParameterError(f"community {i + 1} sizes differ between sides")
-    total = 1
-    for g in labels_of:
-        total *= math.factorial(len(g))
+    total = math.prod(math.factorial(len(g)) for g in labels_of)
     if total > cap:
         raise SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
     perms = [_perm_table(len(g)) for g in labels_of]
@@ -374,20 +386,39 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
     slots = rows.sum(axis=-1)
     windows, all_pass, dead = _block_windows(rows, cols, slots,
                                              *_block_count_windows(joint, eps, slots))
+    ranks: list[Optional[np.ndarray]] = [None] * c
     if dead.any():
-        return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms,
+        return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, ranks=ranks,
                      mask=np.zeros(shape, dtype=bool))
     iu, ju, _ = _block_index(c)
-    mask = np.ones(shape, dtype=bool)
-    for b in np.flatnonzero(~all_pass).tolist():
-        i, j = int(iu[b]), int(ju[b])
-        a = g1[labels_of[i][:, None], labels_of[j]]
-        v = g2[verts_of[i][:, None], verts_of[j]]
+    todo = [(b, int(iu[b]), int(ju[b])) for b in np.flatnonzero(~all_pass).tolist()]
+
+    def block(b: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The block's value matrices (labels, vertices) and binding windows."""
         binding = {key: (int(wlo[b]), int(whi[b])) for key, (wlo, whi) in windows.items()
                    if wlo[b] > 0 or whi[b] < slots[b]}
-        m = _intra_mask(a, v, perms[i], binding) if i == j else _inter_mask(a, v, binding)
-        mask &= m.reshape(tuple(shape[ax] if ax in (i, j) else 1 for ax in range(c)))
-    return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, mask=mask)
+        return (g1[labels_of[i][:, None], labels_of[j]],
+                g2[verts_of[i][:, None], verts_of[j]], binding)
+
+    # A candidate passes only when every block does, so each undecided intra
+    # block first cuts its axis down to its survivors (kept in lex order, so
+    # row-major order stays canonical), and inter blocks count only pairs of
+    # survivors. Axes no intra block cuts keep the shared tables.
+    for b, i, j in todo:
+        if i == j:
+            a, v, binding = block(b, i, j)
+            ranks[i] = np.flatnonzero(_intra_mask(a, v, perms[i], binding))
+            perms[i] = perms[i][ranks[i]]
+            if not len(ranks[i]):
+                break
+    mask = np.ones(tuple(len(p) for p in perms), dtype=bool)
+    for b, i, j in todo:
+        if i != j and mask.size:  # an axis that kept nothing leaves no pair
+            a, v, binding = block(b, i, j)
+            m = _inter_mask(a, v, _onehot_rows(a.shape[0], ranks[i]),
+                            _onehot_rows(a.shape[1], ranks[j]), binding)
+            mask &= m.reshape(tuple(mask.shape[ax] if ax in (i, j) else 1 for ax in range(c)))
+    return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, ranks=ranks, mask=mask)
 
 
 def _grid_rows(grid: _Grid, idx: np.ndarray) -> np.ndarray:
@@ -403,11 +434,17 @@ def _truth_index(grid: _Grid, truth: Labeling) -> Optional[tuple[int, ...]]:
     """Grid coordinates of a labeling, None when it is not in the grid."""
     tinv = np.asarray(truth.inverse().mapping)
     idx = []
-    for labels, verts in zip(grid.labels_of, grid.verts_of):
+    for labels, verts, kept in zip(grid.labels_of, grid.verts_of, grid.ranks):
         vs = tinv[labels]
         if not np.array_equal(np.sort(vs), verts):
             return None
-        idx.append(_lex_rank(np.searchsorted(verts, vs)))  # positions within the axis
+        rank = _lex_rank(np.searchsorted(verts, vs))  # positions within the axis
+        if kept is not None:  # the axis keeps some ranks: find rank among them
+            at = int(np.searchsorted(kept, rank))
+            if at == len(kept) or kept[at] != rank:
+                return None
+            rank = at
+        idx.append(rank)
     return tuple(idx)
 
 
@@ -457,7 +494,8 @@ def ambiguity_set_csi(inst: MatchingInstance,
     both sides; `oracle.unrestricted_csi_labelings` scans all n! instead."""
     eps = default_epsilon(inst.n) if eps is None else eps
     grid = _csi_grid(inst, eps, cap)
-    return AmbiguitySet(grid, eps, "csi", grid.mask.size)
+    space = math.prod(math.factorial(len(g)) for g in grid.labels_of)
+    return AmbiguitySet(grid, eps, "csi", space)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -716,7 +754,7 @@ def ambiguity_set_wsi(inst: MatchingInstance,
         mask |= _wsi_mask(inst, eps, sizes)
     everyone = np.arange(inst.n)
     grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(inst.n)],
-                 mask=mask)
+                 ranks=[None], mask=mask)
     return AmbiguitySet(grid, eps, "wsi", total)
 
 

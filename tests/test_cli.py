@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import commatch
 from commatch.bounds import achievability_profile, converse_check
 from commatch.cli import main, trial_seed
 from commatch.errors import ValidationError
@@ -316,6 +319,28 @@ def test_campaign_reruns_are_byte_identical(tmp_path, model_c2):
     assert open(a + ".summary.json").read() == open(b + ".summary.json").read()
 
 
+def test_campaign_config_hash_follows_model_contents(tmp_path, model_c2, monkeypatch):
+    # one campaign against copies of one model file in two directories, named
+    # by a relative and by an absolute path, writes the same bytes
+    args = ["campaign", "--n", "6", "--trials", "3", "--seed", "4", "--eps", "0.5",
+            "--out", "camp", "--model"]
+    outs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        shutil.copyfile(model_c2, tmp_path / name / "model.json")
+        monkeypatch.chdir(tmp_path / name)
+        path = "model.json" if name == "a" else str(tmp_path / name / "model.json")
+        assert main(args + [path]) == 0
+        outs.append((open("camp.csv", "rb").read(), open("camp.summary.json", "rb").read()))
+    assert outs[0] == outs[1]
+    # editing the file changes the hash, though its path stays the same
+    model = tmp_path / "b" / "model.json"
+    model.write_text(model.read_text() + "\n")
+    assert main(args + ["model.json"]) == 0
+    assert (json.loads(open("camp.summary.json").read())["config_hash"]
+            != json.loads(outs[0][1])["config_hash"])
+
+
 def test_campaign_seeds_are_per_trial(tmp_path, model_c2):
     prefix = str(tmp_path / "camp")
     main(["campaign", "--model", model_c2, "--n", "6", "--trials", "4",
@@ -421,10 +446,15 @@ def test_trial_seed_spreads():
 
 
 def test_module_entry_point(tmp_path, model_c2):
+    # the child imports the package this process imported, also when pytest's
+    # own pythonpath setting found it and PYTHONPATH is unset
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commatch.__file__)))
+    path = os.environ.get("PYTHONPATH")
     run = subprocess.run(
         [sys.executable, "-m", "commatch", "converse", "--model", model_c2,
          "--n", "8"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")))
     assert run.returncode == 0
     doc = json.loads(run.stdout)
     assert "impossible" in doc

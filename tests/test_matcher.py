@@ -39,6 +39,7 @@ from commatch.typicality import (
     blocks_jointly_typical,
     count_windows,
     default_epsilon,
+    is_jointly_typical,
     joint_type,
     paired_blocks,
 )
@@ -132,19 +133,26 @@ def test_csi_full_grid_matches_scalar_test(sizes, joint):
 @pytest.mark.parametrize("sizes", [(5, 5), (6, 6)])
 @pytest.mark.parametrize("joint", [copy_joint(2), dsbs_joint(0.1)], ids=["copy", "dsbs"])
 def test_csi_grid_sample_matches_scalar_test(sizes, joint):
+    # labelings drawn uniformly from the whole community-preserving space by
+    # per-community lex ranks, decoded on the eps = 1 grid, which keeps every
+    # row; at each eps the set's grid may keep fewer
     inst = _instance(seed=3, sizes=sizes, joint=joint)
-    grid = _csi_grid(inst, 0.3, DEFAULT_CANDIDATE_CAP)
+    full = _csi_grid(inst, 1.0, DEFAULT_CANDIDATE_CAP)
+    assert full.ranks == [None] * len(sizes)
     rng = np.random.default_rng(sum(sizes))
-    sample = {tuple(int(rng.integers(len(p))) for p in grid.perms) for _ in range(80)}
-    cells = []
+    sample = {tuple(int(rng.integers(math.factorial(k))) for k in sizes) for _ in range(80)}
+    cands = []
     for idx in sorted(sample):
-        sigma = _labeling_at(grid, idx)
-        assert _truth_index(grid, sigma) == idx
-        cells.append((idx, _blocks(inst, sigma)))
+        sigma = _labeling_at(full, idx)
+        assert _truth_index(full, sigma) == idx
+        cands.append((sigma, _blocks(inst, sigma)))
     for eps in EPS_GRID:
-        mask = _csi_grid(inst, eps, DEFAULT_CANDIDATE_CAP).mask
-        for idx, blocks in cells:
-            assert mask[idx] == blocks_jointly_typical(blocks, inst.model.joint, eps), (idx, eps)
+        s = ambiguity_set_csi(inst, eps=eps)
+        for sigma, blocks in cands:
+            typical = blocks_jointly_typical(blocks, inst.model.joint, eps)
+            assert (sigma in s) == typical, (sigma, eps)
+            if typical:
+                assert _labeling_at(s.grid, _truth_index(s.grid, sigma)) == sigma
 
 
 def test_csi_grid_keeps_float_boundary_counts():
@@ -325,6 +333,115 @@ def test_dead_block_gives_full_shape_empty_grid(monkeypatch):
     assert s.grid.mask.shape == (6, 6, 6, 6) and not s.grid.mask.any()
     assert s.candidate_space == 6 ** 4 and len(s) == 0
     assert not _typical(inst, inst.sealed_truth(), 0.3)
+
+
+# -- prune-then-pair --------------------------------------------------------------
+
+def _intra_survivors(inst, eps, i):
+    """Lex ranks of the permutations of community i whose intra block is
+    typical, each tried in a labeling that keeps the other communities fixed."""
+    full = _csi_grid(inst, 1.0, DEFAULT_CANDIDATE_CAP)
+    keep = []
+    for r in range(len(full.perms[i])):
+        sigma = _labeling_at(full, tuple(r if ax == i else 0 for ax in range(inst.c)))
+        if is_jointly_typical(*_blocks(inst, sigma).blocks[(i, i)], inst.model.joint[i, i], eps):
+            keep.append(r)
+    return keep
+
+
+@pytest.mark.parametrize("seed, sizes, joint", [(3, (6, 6), dsbs_joint(0.1)),
+                                                (1, (5, 5), uniform_product_joint(2))],
+                         ids=["dsbs66", "product55"])
+def test_inter_blocks_count_intra_survivors_only(monkeypatch, seed, sizes, joint):
+    # dsbs(0.1) (6,6) cuts both axes; on the product (5,5) instance margins
+    # pass one intra block, and that axis keeps the shared tables
+    inst = _instance(seed=seed, sizes=sizes, joint=joint)
+    seen = []
+    inter_mask = matcher._inter_mask
+
+    def spy(a, b, e_i, e_j, windows):
+        seen.append((e_i, e_j))
+        return inter_mask(a, b, e_i, e_j, windows)
+
+    monkeypatch.setattr(matcher, "_inter_mask", spy)
+    s = ambiguity_set_csi(inst, eps=0.3)
+    ((e_0, e_1),) = seen
+    kept = [_intra_survivors(inst, 0.3, i) for i in range(2)]
+    assert s.grid.mask.shape == tuple(len(k) for k in kept)
+    assert any(0 < len(k) < math.factorial(n) for k, n in zip(kept, sizes))
+    for i, (k, e) in enumerate(zip(sizes, (e_0, e_1))):
+        if s.grid.ranks[i] is None:
+            assert len(kept[i]) == math.factorial(k)
+            assert e is _onehot_table(k) and s.grid.perms[i] is _perm_table(k)
+        else:
+            assert s.grid.ranks[i].tolist() == kept[i]
+            assert np.array_equal(e, _onehot_table(k)[kept[i]])
+            assert np.array_equal(s.grid.perms[i], _perm_table(k)[kept[i]])
+
+
+def test_an_axis_without_intra_survivors_empties_the_set(monkeypatch):
+    # dsbs(0.1) (5,5) at eps 0.15: no permutation of community 2 passes its
+    # intra block, although its margins leave the block undecided
+    inst = _instance(seed=3, sizes=(5, 5), joint=dsbs_joint(0.1))
+    assert _intra_survivors(inst, 0.15, 1) == []
+
+    def refuse(*args):
+        raise AssertionError("an inter block was counted")
+
+    monkeypatch.setattr(matcher, "_inter_mask", refuse)
+    s = ambiguity_set_csi(inst, eps=0.15)
+    assert len(s) == 0 and list(s) == [] and s.grid.mask.shape[1] == 0
+    assert s.candidate_space == math.factorial(5) ** 2
+    assert inst.sealed_truth() not in s
+    with pytest.raises(EmptyAmbiguitySetError):
+        run_matching(inst, eps=0.15)
+
+
+def test_labelings_failing_an_intra_block_are_not_in_the_set():
+    inst = _instance(seed=3, sizes=(6, 6), joint=dsbs_joint(0.1))
+    s = ambiguity_set_csi(inst, eps=0.3)
+    full = _csi_grid(inst, 1.0, DEFAULT_CANDIDATE_CAP)
+    kept = s.grid.ranks[0].tolist()
+    other = int(s.grid.ranks[1][0])  # a survivor of community 2
+    assert 0 < len(kept) < 720
+    for r in range(720):
+        sigma = _labeling_at(full, (r, other))
+        if r in kept:
+            assert _truth_index(s.grid, sigma) == (kept.index(r), 0)
+        else:
+            x, y = _blocks(inst, sigma).blocks[(0, 0)]
+            assert not is_jointly_typical(x, y, inst.model.joint[0, 0], 0.3)
+            assert _truth_index(s.grid, sigma) is None
+            assert sigma not in s
+
+
+def _mixed_234(seed, membership):
+    # dsbs(0.1) on every block but the intra block of the size-2 community:
+    # its one slot is never typical under dsbs(0.1) at eps < 0.55 (every cell
+    # has p <= 0.45), so there the slot is (0, 0) with p = 0.85 or (1, 1)
+    model, _ = homogeneous_model(dsbs_joint(0.1), (2, 3, 4))
+    joint = model.joint.copy()
+    joint[0, 0] = [[0.85, 0.0], [0.0, 0.15]]
+    model = PairedEdgeModel(alphabet=model.alphabet, joint=joint)
+    pair = sample_pair(model, CommunityLayout(sizes=(2, 3, 4), membership=membership), seed)
+    return anonymize(pair, "csi", shuffle_seed=seed)
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(lambda: _instance(seed=4, joint=copy_joint(2), membership=(0, 1, 0, 1, 1, 0)),
+                 id="33-interleaved"),
+    pytest.param(lambda: _mixed_234(0, (2, 0, 1, 2, 1, 2, 0, 1, 2)), id="234-interleaved"),
+])
+def test_pruned_grids_match_brute_force(inst):
+    inst = inst()
+    pruned = 0
+    for eps in (0.2, 0.3):
+        s = ambiguity_set_csi(inst, eps=eps)
+        assert {p.mapping for p in s} == _brute_csi(inst, eps), eps
+        keys = [p.inverse().mapping for p in s]
+        assert keys == sorted(keys)
+        pruned += len(s) > 0 and any(r is not None for r in s.grid.ranks)
+    assert pruned
 
 
 def test_perm_tables_are_shared_and_read_only():
@@ -681,7 +798,7 @@ def _one_axis_set(n, mask):
     # a one-axis grid over all n! labelings, the shape of a wsi set
     everyone = np.arange(n)
     grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(n)],
-                 mask=np.asarray(mask, dtype=bool))
+                 ranks=[None], mask=np.asarray(mask, dtype=bool))
     return AmbiguitySet(grid, eps=0.1, mode="wsi", candidate_space=len(mask))
 
 
@@ -753,21 +870,29 @@ def test_member_at_on_a_full_grid_is_the_cell(monkeypatch):
 
 def test_run_matching_counts_survivors_once(monkeypatch):
     inst = _instance(seed=5, sizes=(4, 4), joint=dsbs_joint(0.1))
-    cells = math.factorial(4) ** 2
-    counts = []
-    count_nonzero = np.count_nonzero
+    grids, counts = [], []
+    csi_grid, count_nonzero = matcher._csi_grid, np.count_nonzero
+
+    def building(*args):
+        grids.append(csi_grid(*args))
+        return grids[-1]
 
     def counting(a, *args, **kwargs):
         counts.append(np.size(a))
         return count_nonzero(a, *args, **kwargs)
 
+    monkeypatch.setattr(matcher, "_csi_grid", building)
     monkeypatch.setattr(np, "count_nonzero", counting)
-    for eps in (1.0, 0.3):  # a full grid, then a partial one
+    for eps in (1.0, 0.3):  # a full grid, then a pruned partial one
+        grids.clear()
         counts.clear()
         res = run_matching(inst, eps=eps, seed=3)
-        assert counts.count(cells) == 1, eps
-        assert 0 < res.diagnostics.ambiguity_size <= cells
-    assert res.diagnostics.ambiguity_size < cells
+        (grid,) = grids
+        assert counts.count(grid.mask.size) == 1, eps
+        assert 0 < res.diagnostics.ambiguity_size <= grid.mask.size
+        assert res.diagnostics.candidate_space == math.factorial(4) ** 2
+    assert grid.mask.size < math.factorial(4) ** 2
+    assert res.diagnostics.ambiguity_size < grid.mask.size
 
 
 def test_len_in_and_select_decode_at_most_one_row(monkeypatch):
