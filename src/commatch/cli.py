@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -173,20 +173,14 @@ def run_campaign(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     return records, summary
 
 
-def _campaign_csv(records: list[TrialRecord], meta: list[str]) -> str:
+def _csv_text(meta: Iterable[str], header: list[str], rows: Iterable[list]) -> str:
+    """A CSV document: one "# " line per meta entry, the header, the rows."""
     buf = io.StringIO()
     for line in meta:
         buf.write(f"# {line}\n")
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["trial", "seed", "mode", "eps", "ambiguity_size",
-                "truth_included", "accuracy", "error"])
-    for r in records:
-        w.writerow([
-            r.trial, r.seed, r.mode, repr(r.eps), r.ambiguity_size,
-            _bool_str(r.truth_included),
-            "" if r.accuracy is None else repr(r.accuracy),
-            r.error,
-        ])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
 
 
@@ -235,18 +229,13 @@ def _cmd_region(args) -> int:
     worst = min(rows, key=lambda r: r.margin_bits)
     h = _config_hash({"command": "region", "model": _file_sha256(args.model), "n": args.n,
                       "delta": args.delta, "grid": args.grid})
-    buf = io.StringIO()
-    for line in (f"tool_version={__version__}", f"config_hash={h}",
-                 f"n={args.n} delta={args.delta!r} grid={args.grid!r}",
-                 f"satisfied={_bool_str(worst.margin_bits >= 0)} "
-                 f"worst_alpha={worst.alpha!r} margin_bits={worst.margin_bits!r}"):
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["alpha", "lhs_bits", "rhs_bits", "margin_bits"])
-    for r in rows:
-        w.writerow([repr(r.alpha), repr(r.lhs_bits), repr(r.rhs_bits),
-                    repr(r.margin_bits)])
-    _emit(buf.getvalue(), args.out)
+    meta = [f"tool_version={__version__}", f"config_hash={h}",
+            f"n={args.n} delta={args.delta!r} grid={args.grid!r}",
+            f"satisfied={_bool_str(worst.margin_bits >= 0)} "
+            f"worst_alpha={worst.alpha!r} margin_bits={worst.margin_bits!r}"]
+    _emit(_csv_text(meta, ["alpha", "lhs_bits", "rhs_bits", "margin_bits"],
+                    ([repr(r.alpha), repr(r.lhs_bits), repr(r.rhs_bits), repr(r.margin_bits)]
+                     for r in rows)), args.out)
     return 0
 
 
@@ -329,8 +318,13 @@ def _cmd_campaign(args) -> int:
     h = _config_hash({"command": "campaign", "model": _file_sha256(cfg.model_path), "n": cfg.n,
                       "mode": cfg.mode, "trials": cfg.trials, "seed": cfg.master_seed,
                       "eps": cfg.eps, "kappa": cfg.kappa, "cap": cfg.cap})
-    meta = [f"tool_version={__version__}", f"config_hash={h}"]
-    _emit(_campaign_csv(records, meta), args.out + ".csv")
+    _emit(_csv_text([f"tool_version={__version__}", f"config_hash={h}"],
+                    ["trial", "seed", "mode", "eps", "ambiguity_size",
+                     "truth_included", "accuracy", "error"],
+                    ([r.trial, r.seed, r.mode, repr(r.eps), r.ambiguity_size,
+                      _bool_str(r.truth_included),
+                      "" if r.accuracy is None else repr(r.accuracy), r.error]
+                     for r in records)), args.out + ".csv")
     summary.update({"config_hash": h, "tool_version": __version__})
     _emit(_json_text(summary), args.out + ".summary.json")
     total_ms = sum(r.runtime_ms for r in records)
@@ -345,13 +339,7 @@ def _cmd_scan(args) -> int:
         raise ParameterError("empty --n-list")
     h = _config_hash({"command": "scan", "model": _file_sha256(args.model), "n_list": ns,
                       "delta": args.delta, "grid": args.grid})
-    buf = io.StringIO()
-    for line in (f"tool_version={__version__}", f"config_hash={h}",
-                 f"delta={args.delta!r} grid={args.grid!r}"):
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "achievable", "ach_margin_bits", "impossible",
-                "conv_lhs_bits", "conv_rhs_bits"])
+    table = []
     for n in ns:
         if layout.c == 1:
             # single-community closed forms
@@ -360,9 +348,12 @@ def _cmd_scan(args) -> int:
         else:
             a = achievability_check(model, layout, n, args.delta, args.grid)
             v = converse_check(model, layout, n)
-        w.writerow([n, _bool_str(a.satisfied), repr(a.margin_bits),
-                    _bool_str(v.impossible), repr(v.lhs_bits), repr(v.rhs_bits)])
-    _emit(buf.getvalue(), args.out)
+        table.append([n, _bool_str(a.satisfied), repr(a.margin_bits),
+                      _bool_str(v.impossible), repr(v.lhs_bits), repr(v.rhs_bits)])
+    _emit(_csv_text([f"tool_version={__version__}", f"config_hash={h}",
+                     f"delta={args.delta!r} grid={args.grid!r}"],
+                    ["n", "achievable", "ach_margin_bits", "impossible",
+                     "conv_lhs_bits", "conv_rhs_bits"], table), args.out)
     return 0
 
 

@@ -27,7 +27,8 @@ hot counts (both symbols >= 1) that stays in a range the totals fix. One
 batched fold over a grid's blocks finds them: a block whose windows contain
 their whole ranges passes for every candidate and is never counted; a block
 with a window that misses its range passes for none, and the grid is empty
-without counting any block. Only the rest are counted.
+(every axis keeps no permutation) without counting any block. Only the rest
+are counted.
 
 The wsi path decides pairs of community assignments the same way. Under a
 label-side assignment m1 a labeling puts the vertices in the communities m2
@@ -43,9 +44,12 @@ product of the labelings' slot values against a 0/1 table of slots per
 (assignment, block, first-graph symbol). A full sweep is the union of the
 sweeps over every set of community sizes.
 
-Every count is checked against the integer window `typicality.count_windows`
-derives from the float expression of `is_jointly_typical`, so the decisions
-agree with it bit for bit.
+Every window comes from one memoized table, `typicality.count_windows`, which
+turns the float expression of `is_jointly_typical` into integer windows of
+passing counts, one call per csi grid, per set of wsi pairs and per wsi count
+(slot counts broadcast against the model's cells). Every count is checked
+against its window in one place, `_within`, so the decisions agree with the
+scalar test bit for bit.
 
 An ambiguity set is a boolean mask over a grid of candidates: one axis per
 community for csi, over that community's intra survivors in lex order, and
@@ -283,34 +287,15 @@ def _block_windows(rows: np.ndarray, cols: np.ndarray, slots: np.ndarray,
     return windows, all_pass, dead
 
 
-def _block_count_windows(joint: np.ndarray, eps: float, slots: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """`count_windows` of every block, (nb, l, l) each, from the blocks'
-    slot counts (nb,) in `_block_index` order; shared, hence read-only."""
-    joint = np.asarray(joint, dtype=float)
-    return _stacked_windows(joint.tobytes(), joint.shape, float(eps), tuple(slots.tolist()))
-
-
-@lru_cache(maxsize=1 << 10)
-def _stacked_windows(joint_bytes: bytes, shape: tuple[int, ...], eps: float,
-                     slots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    joint = np.frombuffer(joint_bytes).reshape(shape)
-    iu, ju, _ = _block_index(shape[0])
-    lo, hi = (np.stack(w) for w in zip(*(count_windows(joint[i, j], eps, k)
-                                         for i, j, k in zip(iu.tolist(), ju.tolist(), slots))))
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return lo, hi
-
-
 def _hot_cells(windows: dict[tuple, tuple[int, int]]) -> list[tuple[int, int]]:
     """The hot cells some window sums over."""
     return sorted({xy for xset, yset in windows for xy in product(xset, yset)})
 
 
 def _within(ok: np.ndarray, hot: dict[tuple[int, int], np.ndarray],
-            windows: dict[tuple, tuple[int, int]]) -> None:
-    """ok &= every window holding on its sum of the hot counts hot[x, y]."""
+            windows: dict[tuple, tuple]) -> None:
+    """ok &= every window holding on its sum of the hot counts hot[x, y];
+    window bounds are ints or arrays broadcast against the counts."""
     for (xset, yset), (wlo, whi) in windows.items():
         cells = list(product(xset, yset))
         s = hot[cells[0]]
@@ -377,21 +362,22 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
     if total > cap:
         raise SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
     perms = [_perm_table(len(g)) for g in labels_of]
-    shape = tuple(len(p) for p in perms)
     g1, g2 = inst.g1_values, inst.g2_values
+    iu, ju, _ = _block_index(c)
     # Margins decide a block for every candidate or leave it to be counted;
     # all of them are read before any counting starts.
     rows = _block_totals(g1, comm1, c, inst.model.l)
     cols = _block_totals(g2, comm2, c, inst.model.l)
     slots = rows.sum(axis=-1)
-    windows, all_pass, dead = _block_windows(rows, cols, slots,
-                                             *_block_count_windows(joint, eps, slots))
+    lo, hi = count_windows(joint[iu, ju], eps, slots[:, None, None])
+    windows, all_pass, dead = _block_windows(rows, cols, slots, lo, hi)
     ranks: list[Optional[np.ndarray]] = [None] * c
-    if dead.any():
-        return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, ranks=ranks,
-                     mask=np.zeros(shape, dtype=bool))
-    iu, ju, _ = _block_index(c)
-    todo = [(b, int(iu[b]), int(ju[b])) for b in np.flatnonzero(~all_pass).tolist()]
+    if dead.any():  # no candidate passes: every axis keeps no row, and no block is counted
+        ranks = [np.zeros(0, dtype=np.intp)] * c
+        perms = [p[:0] for p in perms]
+        todo = []
+    else:
+        todo = [(b, int(iu[b]), int(ju[b])) for b in np.flatnonzero(~all_pass).tolist()]
 
     def block(b: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
         """The block's value matrices (labels, vertices) and binding windows."""
@@ -609,7 +595,7 @@ def _wsi_pairs(inst: MatchingInstance, eps: float,
     rows = _block_totals(inst.g1_values, asg, c, l)  # (|A|, block, symbol)
     cols = _block_totals(inst.g2_values, asg, c, l)
     nb = rows.shape[1]
-    lo, hi = _block_count_windows(joint, eps, slots)
+    lo, hi = count_windows(joint[iu, ju], eps, slots[:, None, None])
     block = np.broadcast_to(np.arange(nb), (na, nb)).reshape(-1, 1)
     r_at, r_of = _distinct_rows(np.hstack([block, rows.reshape(-1, l)]))
     c_at, c_of = _distinct_rows(np.hstack([block, cols.reshape(-1, l)]))
@@ -642,7 +628,6 @@ def _wsi_count(inst: MatchingInstance, eps: float, asg: np.ndarray,
     and labelings are processed in chunks of rows.
     """
     n, c, l = inst.n, inst.c, inst.model.l
-    joint = inst.model.joint
     s1, s2 = _pair_slots(n)
     iu, ju, block_of = _block_index(c)
     nb = len(iu)
@@ -654,22 +639,17 @@ def _wsi_count(inst: MatchingInstance, eps: float, asg: np.ndarray,
     w = np.zeros((len(s1), nb * l * na), dtype=np.float32)
     w[np.arange(len(s1)), cols] = 1.0
     tot = w.sum(axis=0)  # slots per (block, x, assignment)
-    slots = tot.reshape(nb, l, na).sum(axis=1).astype(np.intp)
-    lo = np.empty((nb, l, na, l), dtype=np.float32)
-    hi = np.empty_like(lo)
-    for b in range(nb):
-        for k in set(slots[b].tolist()):
-            on = slots[b] == k
-            b_lo, b_hi = count_windows(joint[iu[b], ju[b]], eps, int(k))
-            lo[b][:, on], hi[b][:, on] = b_lo[:, None], b_hi[:, None]
-    lo, hi = lo.reshape(-1, l), hi.reshape(-1, l)
+    slots = tot.reshape(nb, l, na).sum(axis=1).astype(np.intp)  # per (block, assignment)
+    lo, hi = (a.reshape(-1, l).astype(np.float32) for a in count_windows(
+        inst.model.joint[iu, ju][:, :, None], eps, slots[:, None, :, None]))
     # Cell y >= 1 bounds the hot count y; cell 0 bounds the sum of all hot
-    # counts (at l = 2 both bound the single hot count).
+    # counts (at l = 2 both bound the single hot count). x lives in W's
+    # columns, so `_within` keys carry the placeholder first-graph symbol 0.
     hot_ys = tuple(range(1, l))
     windows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for y in range(l):
-        key, w_lo, w_hi = ((y,), lo[:, y], hi[:, y]) if y else (
-            hot_ys, tot - hi[:, 0], tot - lo[:, 0])
+        key, w_lo, w_hi = (((0,), (y,)), lo[:, y], hi[:, y]) if y else (
+            ((0,), hot_ys), tot - hi[:, 0], tot - lo[:, 0])
         if key in windows:
             w_lo = np.maximum(windows[key][0], w_lo)
             w_hi = np.minimum(windows[key][1], w_hi)
@@ -680,16 +660,10 @@ def _wsi_count(inst: MatchingInstance, eps: float, asg: np.ndarray,
     for r0 in range(0, len(rows), step):
         p = perms[rows[r0:r0 + step]]
         g = np.take(inst.g2_values, p[:, s1] * n + p[:, s2])
-        hot = {y: (g == y).astype(np.float32) @ w for y in hot_ys}
-        fit = np.ones((len(p), na), dtype=bool)  # (labeling, assignment)
-        for ys, (w_lo, w_hi) in windows.items():
-            s = hot[ys[0]]
-            for y in ys[1:]:
-                s = s + hot[y]
-            cell_ok = (s >= w_lo) & (s <= w_hi)
-            for c0 in range(0, w.shape[1], na):  # one (block, x) group at a time
-                fit &= cell_ok[:, c0:c0 + na]
-        ok[r0:r0 + step] = fit.any(axis=1)
+        fit = np.ones((len(p), w.shape[1]), dtype=bool)
+        _within(fit, {(0, y): (g == y).astype(np.float32) @ w for y in hot_ys}, windows)
+        # typical: every (block, x) column group passes under some assignment
+        ok[r0:r0 + step] = fit.reshape(len(p), -1, na).all(axis=1).any(axis=1)
     return ok
 
 

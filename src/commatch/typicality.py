@@ -78,8 +78,9 @@ def is_jointly_typical(x: Sequence[int], y: Sequence[int], p: np.ndarray, eps: f
     return bool(np.all(np.abs(t.counts / t.n - p) <= eps))
 
 
-def count_windows(p: np.ndarray, eps: float, slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell inclusive ranges of typical counts out of slots >= 0.
+def count_windows(p: np.ndarray, eps: float, slots) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell inclusive ranges of typical counts out of slots >= 0, with
+    slots (an int or an int array) broadcast against p.
 
     Count k in [0, slots] passes cell (x, y) exactly when
     lo[x, y] <= k <= hi[x, y], i.e. when abs(k / slots - p[x, y]) <= eps as
@@ -89,20 +90,21 @@ def count_windows(p: np.ndarray, eps: float, slots: int) -> tuple[np.ndarray, np
     read-only.
     """
     p = np.asarray(p, dtype=float)
-    return _count_windows(p.tobytes(), p.shape, float(eps), int(slots))
+    slots = np.asarray(slots, dtype=np.intp)
+    return _count_windows(p.tobytes(), p.shape, slots.tobytes(), slots.shape, float(eps))
 
 
 @lru_cache(maxsize=1 << 12)
-def _count_windows(p_bytes: bytes, shape: tuple[int, ...], eps: float,
-                   slots: int) -> tuple[np.ndarray, np.ndarray]:
-    p = np.frombuffer(p_bytes).reshape(shape)
-    if slots == 0:
-        lo = hi = np.zeros(shape, dtype=np.intp)
-    else:
-        k = np.arange(slots + 1)
-        ok = np.abs(k / slots - p[..., None]) <= eps
-        lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), slots + 1)
-        hi = slots - ok[..., ::-1].argmax(axis=-1)
+def _count_windows(p_bytes: bytes, p_shape: tuple[int, ...], slots_bytes: bytes,
+                   slots_shape: tuple[int, ...], eps: float) -> tuple[np.ndarray, np.ndarray]:
+    p = np.frombuffer(p_bytes).reshape(p_shape)[..., None]
+    slots = np.frombuffer(slots_bytes, np.intp).reshape(slots_shape)[..., None]
+    k = np.arange(slots.max(initial=0) + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # no slots: only k = 0 passes
+        ok = (k <= slots) & ((slots == 0) | (np.abs(k / slots - p) <= eps))
+    slots = slots[..., 0]
+    lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), slots + 1)
+    hi = np.where(ok.any(axis=-1), len(k) - 1 - ok[..., ::-1].argmax(axis=-1), slots)
     lo.setflags(write=False)
     hi.setflags(write=False)
     return lo, hi

@@ -321,7 +321,7 @@ def test_default_schedule_copy_66_is_decided_on_margins(monkeypatch):
     assert d.truth_included
 
 
-def test_dead_block_gives_full_shape_empty_grid(monkeypatch):
+def test_dead_block_gives_pruned_empty_grid(monkeypatch):
     # dsbs(0.1) (3,3,3,3) at eps 0.3: some block's margins leave no typical count
     inst = _instance(seed=0, sizes=(3, 3, 3, 3), joint=dsbs_joint(0.1))
     dead = [(i, j) for i in range(4) for j in range(i, 4)
@@ -330,9 +330,10 @@ def test_dead_block_gives_full_shape_empty_grid(monkeypatch):
     assert dead
     _refuse_counting(monkeypatch)
     s = ambiguity_set_csi(inst, eps=0.3)
-    assert s.grid.mask.shape == (6, 6, 6, 6) and not s.grid.mask.any()
+    assert s.grid.mask.shape == (0, 0, 0, 0) and not s.grid.mask.any()  # no axis keeps a row
     assert s.candidate_space == 6 ** 4 and len(s) == 0
     assert not _typical(inst, inst.sealed_truth(), 0.3)
+    assert inst.sealed_truth() not in s
 
 
 # -- prune-then-pair --------------------------------------------------------------

@@ -91,6 +91,14 @@ def test_count_windows_reproduce_the_float_test():
             lo, hi = count_windows(p, eps, slots)
             inside = (lo[:, None] <= k) & (k <= hi[:, None])
             assert (inside == (np.abs(k / slots - p[:, None]) <= eps)).all(), (slots, eps)
+    # one stacked call mixing every slot count, 0 included, gives the scalar
+    # calls' windows cell by cell
+    slots = np.arange(60)
+    for eps in GRID_05:
+        lo, hi = count_windows(p[:, None], eps, slots)  # (21, 60)
+        for s in slots.tolist():
+            want_lo, want_hi = count_windows(p, eps, s)
+            assert (lo[:, s] == want_lo).all() and (hi[:, s] == want_hi).all(), (s, eps)
 
 
 def test_count_windows_boundaries():
@@ -115,6 +123,16 @@ def test_count_windows_are_shared_and_read_only():
     assert not lo.flags.writeable and not hi.flags.writeable
     # same bytes, another shape: another entry
     assert count_windows(p.reshape(4), 0.2, 9)[0].shape == (4,)
+    # slots broadcast against p: one entry per stacked call, read-only too
+    stacked = count_windows(p, 0.2, np.array([[9], [0]]))
+    assert count_windows(p, 0.2, np.array([[9], [0]]))[0] is stacked[0]
+    assert not stacked[0].flags.writeable and not stacked[1].flags.writeable
+    assert (stacked[0][0] == lo[0]).all() and (stacked[1][0] == hi[0]).all()
+    assert not stacked[0][1].any() and not stacked[1][1].any()  # the 0-slot row
+    # the same slot counts in another shape: another entry
+    by_column = count_windows(p, 0.2, np.array([9, 0]))
+    assert by_column[0] is not stacked[0]
+    assert (by_column[0][:, 0] == lo[:, 0]).all() and not by_column[1][:, 1].any()
     # no slots: the only count, 0, passes every cell
     lo, hi = count_windows(p, 0.05, 0)
     assert not lo.any() and not hi.any()
