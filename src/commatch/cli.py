@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -118,6 +119,22 @@ class TrialRecord:
     error: str
 
 
+def _quantiles(values: list[float], qs: Iterable[float]) -> list[float]:
+    """np.quantile's default (linear) quantiles of values, bit for bit, with
+    numpy's lerp form; np.quantile itself would import numpy.ma."""
+    v = sorted(values)
+    out = []
+    for q in qs:
+        h = (len(v) - 1) * q
+        if h >= len(v) - 1:
+            out.append(v[-1])
+            continue
+        i = math.floor(h)
+        a, b, t = v[i], v[i + 1], h - i
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def run_campaign(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     """Seeded Monte Carlo matching trials plus an accuracy summary.
 
@@ -158,8 +175,8 @@ def run_campaign(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     scored = [r.accuracy for r in records if r.accuracy is not None]
     quants = None
     if scored:
-        q = np.quantile(np.asarray(scored), [0.1, 0.5, 0.9])
-        quants = {"q10": float(q[0]), "q50": float(q[1]), "q90": float(q[2])}
+        q = _quantiles(scored, (0.1, 0.5, 0.9))
+        quants = {"q10": q[0], "q50": q[1], "q90": q[2]}
     summary = {
         "trials": cfg.trials,
         "n": cfg.n,

@@ -188,6 +188,17 @@ def _pair_slots(k: int) -> tuple[np.ndarray, np.ndarray]:
     return slots
 
 
+@lru_cache(maxsize=None)
+def _pair_cells(k: int) -> np.ndarray:
+    """Flat k x k cells (R, S) that the row-major pair slots of `_pair_slots(k)`
+    take under each row of `_perm_table(k)`; shared, hence read-only."""
+    perms = _perm_table(k)
+    s1, s2 = _pair_slots(k)
+    cells = perms[:, s1] * k + perms[:, s2]
+    cells.setflags(write=False)
+    return cells
+
+
 def _lex_rank(rho: np.ndarray) -> int:
     """Lex rank of a permutation of range(len(rho)), from its Lehmer code."""
     rho = rho.tolist()  # a Python loop: per-element numpy calls cost ~4x more
@@ -305,16 +316,16 @@ def _within(ok: np.ndarray, hot: dict[tuple[int, int], np.ndarray],
         ok &= s <= whi
 
 
-def _intra_mask(a: np.ndarray, b: np.ndarray, perms: np.ndarray,
+def _intra_mask(a: np.ndarray, b: np.ndarray,
                 windows: dict[tuple, tuple[int, int]]) -> np.ndarray:
-    """Typicality mask of one intra block over the rows of perms, from the
-    block's (k, k) value matrices a (labels) and b (vertices)."""
+    """Typicality mask of one intra block over the rows of `_perm_table(k)`,
+    from the block's (k, k) value matrices a (labels) and b (vertices)."""
     s1, s2 = _pair_slots(len(a))
     xv = a[s1, s2]
-    gathered = b[perms[:, s1], perms[:, s2]]  # (R, S)
+    gathered = b.ravel()[_pair_cells(len(a))]  # (R, S)
     hot = {(x, y): np.count_nonzero((gathered == y) & (xv == x), axis=1)
            for x, y in _hot_cells(windows)}
-    ok = np.ones(len(perms), dtype=bool)
+    ok = np.ones(len(gathered), dtype=bool)
     _within(ok, hot, windows)
     return ok
 
@@ -393,7 +404,7 @@ def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
     for b, i, j in todo:
         if i == j:
             a, v, binding = block(b, i, j)
-            ranks[i] = np.flatnonzero(_intra_mask(a, v, perms[i], binding))
+            ranks[i] = np.flatnonzero(_intra_mask(a, v, binding))
             perms[i] = perms[i][ranks[i]]
             if not len(ranks[i]):
                 break

@@ -9,6 +9,14 @@ and labelings are enumerated rather than constructed.
 pair of length n, counting the event that the (optionally permuted) pair is
 jointly eps-typical. When every model entry is rational (Fraction or int) the
 result is an exact Fraction; float models fall back to compensated summation.
+It visits all s^n outcomes (s = |X| * |Y|) as base-s digit strings: chunks of
+leading digits, each over a cached read-only table of every trailing digit
+string (at most one chunk of outcomes), already split into x and y digits and
+labeled with its type. A call gathers the permuted columns, counts symbols,
+keeps the outcomes inside the exact-rational count windows and histograms
+their types. None of this is shared with `matcher` or `typicality`: the
+tables only replace digit arithmetic, so the oracle still decides every
+outcome on its own and stays an independent check of the fast paths.
 
 `unrestricted_csi_labelings` scans all n! labelings of an instance and, as
 the one exception to exact windows, decides each with the scalar float test
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Optional, Sequence, Union
 
@@ -74,6 +83,39 @@ def _count_bounds(flat_p: Sequence[Fraction], n: int, eps: Fraction) -> tuple[li
     return lo, hi
 
 
+@lru_cache(maxsize=8)
+def _digit_table(l1: int, l2: int, t: int) -> tuple[np.ndarray, ...]:
+    """Every value of t base-(l1*l2) digits, in order, as read-only tables:
+    x and y digit rows (t, s^t) with z = x * l2 + y, each column's type index
+    (s^t,), and the types (T, s) as symbol counts."""
+    s = l1 * l2
+    r = np.arange(s ** t)
+    z = np.empty((t, len(r)), dtype=np.min_scalar_type(s))
+    for i in range(t - 1, -1, -1):
+        r, z[i] = np.divmod(r, s)
+    counts = np.stack([np.count_nonzero(z == a, axis=0) for a in range(s)], axis=1)
+    # Rank the count vectors one symbol at a time, so no key outgrows int64.
+    ttype = np.zeros(len(r), dtype=np.intp)
+    for a in range(s):
+        _, first, ttype = np.unique(ttype * (t + 1) + counts[:, a],
+                                    return_index=True, return_inverse=True)
+    tables = (z // l2, z % l2, ttype, counts[first])
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def _stack_digits(lead: np.ndarray, trail: np.ndarray) -> np.ndarray:
+    """Digit rows (L + t, g * R) of g blocks of outcomes: block j has the
+    leading digits lead[:, j] (lead is (L, g)) above every column of trail
+    (t, R)."""
+    (nl, g), (nt, rows) = lead.shape, trail.shape
+    out = np.empty((nl + nt, g, rows), dtype=trail.dtype)
+    out[:nl] = lead[:, :, None]
+    out[nl:] = trail[:, None, :]
+    return out.reshape(nl + nt, g * rows)
+
+
 def exact_typicality_probability(joint,
                                  n: int,
                                  pi: Permutation,
@@ -104,37 +146,45 @@ def exact_typicality_probability(joint,
     eps_f = eps if isinstance(eps, Fraction) else Fraction(eps)
     lo, hi = _count_bounds(frac, n, eps_f)
 
-    px = np.asarray(pi_first.mapping if pi_first is not None else range(n), dtype=np.int64)
-    py = np.asarray(pi.mapping, dtype=np.int64)
-    radix = (n + 1) ** np.arange(s, dtype=np.int64)
-    lo_a = np.asarray(lo, dtype=np.int64)
-    hi_a = np.asarray(hi, dtype=np.int64)
+    px = np.asarray(pi_first.mapping if pi_first is not None else range(n), dtype=np.intp)
+    py = np.asarray(pi.mapping, dtype=np.intp)
+    # Windows every count in 0..n meets decide nothing and are not checked.
+    binding = [(a, lo[a], hi[a]) for a in range(s) if lo[a] > 0 or hi[a] < n]
 
-    type_hits: dict[int, int] = {}
+    # Outcome r has base-s digits z_0 (leading) .. z_{n-1}, z = x * l2 + y.
+    # A chunk is `per` consecutive values of the leading digits, each with
+    # every value of the t trailing digits from the shared table.
+    t = n
+    while s ** t > _CHUNK:
+        t -= 1
+    lead = n - t
+    tx, ty, ttype, types = _digit_table(l1, l2, t)
+    per = max(1, _CHUNK // s ** t)
+    place = s ** np.arange(lead - 1, -1, -1, dtype=np.int64)
+
+    type_hits: dict[tuple[int, ...], int] = {}
     typical_outcomes = 0
-    place = s ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total_outcomes, _CHUNK):
-        stop = min(start + _CHUNK, total_outcomes)
-        r = np.arange(start, stop, dtype=np.int64)
-        z = (r[:, None] // place[None, :]) % s
-        x, y = z // l2, z % l2
-        w = x[:, px] * l2 + y[:, py]
-        cw = np.stack([(w == sym).sum(axis=1) for sym in range(s)], axis=1)
-        mask = np.all((cw >= lo_a) & (cw <= hi_a), axis=1)
+    for p0 in range(0, s ** lead, per):
+        zl = (np.arange(p0, min(p0 + per, s ** lead))[None, :] // place[:, None]) % s
+        g = zl.shape[1]
+        xs = _stack_digits((zl // l2).astype(tx.dtype), tx)
+        ys = _stack_digits((zl % l2).astype(tx.dtype), ty)
+        w = xs[px] * l2 + ys[py]
+        mask = np.ones(w.shape[1], dtype=bool)
+        for a, la, ha in binding:
+            cw = np.count_nonzero(w == a, axis=0)
+            mask &= (cw >= la) & (cw <= ha)
         if not mask.any():
             continue
-        typical_outcomes += int(mask.sum())
-        cz = np.stack([(z[mask] == sym).sum(axis=1) for sym in range(s)], axis=1)
-        keys, counts = np.unique(cz @ radix, return_counts=True)
-        for k, c in zip(keys.tolist(), counts.tolist()):
-            type_hits[k] = type_hits.get(k, 0) + c
-
-    def decode(key: int) -> list[int]:
-        t = []
-        for _ in range(s):
-            t.append(key % (n + 1))
-            key //= n + 1
-        return t
+        typical_outcomes += int(np.count_nonzero(mask))
+        # Key (leading block, trailing type) of each typical outcome.
+        key = (np.arange(g)[:, None] * len(types) + ttype).reshape(-1)
+        hist = np.bincount(key[mask], minlength=g * len(types))
+        hit = np.flatnonzero(hist)
+        lead_counts = np.stack([np.count_nonzero(zl == a, axis=0) for a in range(s)], axis=1)
+        full = lead_counts[hit // len(types)] + types[hit % len(types)]
+        for tc, c in zip(map(tuple, full.tolist()), hist[hit].tolist()):
+            type_hits[tc] = type_hits.get(tc, 0) + c
 
     if rational:
         denom = 1
@@ -142,10 +192,9 @@ def exact_typicality_probability(joint,
             denom = denom * p.denominator // math.gcd(denom, p.denominator)
         nums = [int(p * denom) for p in frac]
         total = 0
-        for key, c in type_hits.items():
-            t = decode(key)
+        for tc, c in type_hits.items():
             w = 1
-            for a, e in zip(nums, t):
+            for a, e in zip(nums, tc):
                 if e:
                     w *= a ** e
             total += w * c
@@ -159,10 +208,9 @@ def exact_typicality_probability(joint,
 
     fl = [float(p) for p in flat]
     terms = []
-    for key, c in type_hits.items():
-        t = decode(key)
+    for tc, c in type_hits.items():
         w = 1.0
-        for a, e in zip(fl, t):
+        for a, e in zip(fl, tc):
             if e:
                 w *= a ** e
         terms.append(w * c)

@@ -5,6 +5,7 @@ import pytest
 
 from commatch.bounds import (
     _allocations,
+    _kl_to_mixtures,
     _min_kl_over_ball,
     achievability_check,
     achievability_check_csi,
@@ -129,6 +130,48 @@ def test_exponent_monotone_in_eps_and_alpha():
     divs_alpha = [permuted_typicality_bound(8, a, 0.05, j).divergence_term
                   for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(a >= b - 1e-12 for a, b in zip(divs_alpha, divs_alpha[1:]))
+
+
+def _kl_to_mixtures_per_row(joint, betas):
+    """One np.sum per mixture weight, skipping mixtures that vanish on a
+    positive cell."""
+    px, py = joint.sum(axis=1), joint.sum(axis=0)
+    pos = joint > 0
+    out = []
+    for b in betas:
+        mk = ((1.0 - b) * np.outer(px, py) + b * joint)[pos]
+        out.append(math.inf if np.any(mk == 0) else float(np.sum(joint[pos] * np.log2(joint[pos] / mk))))
+    return np.array(out)
+
+
+def _random_joint(rng, shape, zeros=False):
+    j = rng.random(shape) ** 3
+    if zeros:
+        j[rng.random(shape) < 0.3] = 0.0
+        j.flat[0] = 1.0
+    return j / j.sum()
+
+
+@pytest.mark.parametrize("name", ["dsbs", "copy", "product", "random22", "dense33", "zeros33",
+                                  "dense55", "dense12x12", "underflow"])
+def test_kl_to_mixtures_matches_per_row_sums_bit_for_bit(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    joint = {
+        "dsbs": dsbs_joint(0.1),
+        "copy": copy_joint(2),
+        "product": uniform_product_joint(2),
+        "random22": _random_joint(rng, (2, 2)),
+        "dense33": _random_joint(rng, (3, 3)),  # 9 cells: numpy's eight-way tree
+        "zeros33": _random_joint(rng, (3, 3), zeros=True),
+        "dense55": _random_joint(rng, (5, 5)),
+        "dense12x12": _random_joint(rng, (12, 12)),  # 144 cells: summed in halves
+        # the product underflows at a positive cell, so beta = 0 gives inf
+        "underflow": np.array([[1e-200, 0.0], [0.0, 1.0 - 1e-200]]),
+    }[name]
+    betas = np.concatenate([[0.0, 1.0], rng.random(300), np.linspace(0.0, 1.0, 101)])
+    got = _kl_to_mixtures(joint, betas)
+    assert got.tobytes() == _kl_to_mixtures_per_row(joint, betas).tobytes()
+    assert (got[1] == 0.0) and (math.isinf(got[0]) == (name == "underflow"))
 
 
 def test_profile_alpha_grid_covers_endpoints():

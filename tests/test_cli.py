@@ -6,11 +6,12 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import commatch
 from commatch.bounds import achievability_profile, converse_check
-from commatch.cli import main, trial_seed
+from commatch.cli import _quantiles, main, trial_seed
 from commatch.errors import ValidationError
 from commatch.graphgen import load_instance
 from commatch.model import (
@@ -351,6 +352,37 @@ def test_campaign_seeds_are_per_trial(tmp_path, model_c2):
     seeds = [int(r["seed"]) for r in rows]
     assert seeds == [trial_seed(9, i) for i in range(4)]
     assert len(set(seeds)) == 4
+
+
+def test_campaign_quantiles_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(12)
+    qs = (0.1, 0.5, 0.9)
+    for k in range(3000):
+        n = int(rng.integers(1, 30))
+        values = (rng.integers(0, 13, n) / 12 if k % 2 else rng.random(n)).tolist()
+        want = np.quantile(np.asarray(values), qs).tolist()
+        assert np.array(_quantiles(values, qs)).tobytes() == np.array(want).tobytes()
+
+
+def test_campaign_child_does_not_import_numpy_ma(tmp_path, model_c2):
+    # np.quantile would import numpy.ma on its first call, at ~15 ms a process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commatch.__file__)))
+    child = (
+        "import runpy, sys\n"
+        "sys.argv = ['commatch'] + sys.argv[1:]\n"
+        "try:\n"
+        "    runpy.run_module('commatch', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+    run = subprocess.run(
+        [sys.executable, "-c", child, "campaign", "--model", model_c2, "--n", "6",
+         "--trials", "3", "--seed", "5", "--out", str(tmp_path / "camp")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    summary = json.loads((tmp_path / "camp.summary.json").read_text())
+    assert summary["accuracy_quantiles"] is not None
 
 
 def test_campaign_requires_out(model_c2):

@@ -16,6 +16,8 @@ from commatch.matcher import (
     _Grid,
     _lex_rank,
     _onehot_table,
+    _pair_cells,
+    _pair_slots,
     _perm_table,
     _truth_index,
     ambiguity_set_csi,
@@ -453,6 +455,12 @@ def test_perm_tables_are_shared_and_read_only():
     assert (onehot.reshape(-1, 4, 4).argmax(axis=2) == perms).all()
     assert (onehot.sum(axis=1) == 4).all()
     assert [_lex_rank(p) for p in perms] == list(range(len(perms)))
+    # the intra gather's flat pair cells: shared, read-only, one per (row, slot)
+    cells = _pair_cells(4)
+    assert _pair_cells(4) is cells and not cells.flags.writeable
+    s1, s2 = _pair_slots(4)
+    b = np.arange(16).reshape(4, 4)
+    assert np.array_equal(b.ravel()[cells], b[perms[:, s1], perms[:, s2]])
 
 
 def test_truth_index_outside_the_grid():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from commatch import oracle
 from commatch.errors import ParameterError, SizeGuardError
 from commatch.model import CommunityLayout, dsbs_joint, uniform_product_joint
 from commatch.oracle import (
@@ -129,6 +130,98 @@ def test_outcome_cap_guard():
     with pytest.raises(SizeGuardError):
         exact_typicality_probability(UNIF_EXACT, 8, Permutation.identity(8),
                                      Fraction(1, 4), cap=1000)
+
+
+def _reference_probability(joint, n, pi, eps, pi_first=None):
+    """One outcome pair at a time in pure Python, with Fraction windows:
+    (probability, typical outcome count)."""
+    rows = joint.tolist() if isinstance(joint, np.ndarray) else joint
+    cells = [(a, b) for a in range(len(rows)) for b in range(len(rows[0]))]
+    eps = Fraction(eps)
+    fx = pi_first.mapping if pi_first is not None else tuple(range(n))
+    terms, typical = [], 0
+    for outcome in itertools.product(cells, repeat=n):
+        pairs = [(outcome[fx[i]][0], outcome[pi(i)][1]) for i in range(n)]
+        if all(abs(Fraction(pairs.count(c), n) - Fraction(rows[c[0]][c[1]])) <= eps
+               for c in cells):
+            typical += 1
+            terms.append(math.prod(rows[a][b] for a, b in outcome))
+    exact = all(isinstance(rows[a][b], (Fraction, int)) for a, b in cells)
+    return (sum(terms, Fraction(0)) if exact else math.fsum(terms)), typical
+
+
+L3_EXACT = [[Fraction(1, 5), Fraction(1, 20), Fraction(1, 20)],
+            [Fraction(1, 20), Fraction(1, 5), Fraction(1, 20)],
+            [Fraction(1, 20), Fraction(1, 20), Fraction(3, 10)]]
+REFERENCE_CASES = [  # (joint, n, eps)
+    (DSBS_EXACT, 4, Fraction(1, 4)),
+    (UNIF_EXACT, 3, Fraction(1, 5)),
+    ([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], 4, Fraction(1, 3)),
+    (dsbs_joint(0.1), 4, 0.3),
+    (uniform_product_joint(2), 2, 0.25),
+    (L3_EXACT, 3, Fraction(1, 4)),
+    (np.asarray(L3_EXACT, dtype=float), 3, 0.3),
+    ([[Fraction(1, 6)] * 3, [Fraction(1, 12), Fraction(1, 6), Fraction(1, 4)]], 2, Fraction(1, 3)),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 50])
+@pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+def test_matches_pure_python_enumeration(monkeypatch, case, chunk):
+    joint, n, eps = REFERENCE_CASES[case]
+    if chunk is not None:  # several chunks of leading digits, the last one partial
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    cycle = Permutation(tuple(range(1, n)) + (0,))
+    for pi, pi_first in [(Permutation.identity(n), None), (cycle, None),
+                         (cycle, Permutation(tuple(reversed(range(n))))), (cycle, cycle)]:
+        value, typical = _reference_probability(joint, n, pi, eps, pi_first)
+        p = exact_typicality_probability(joint, n, pi, eps, pi_first=pi_first)
+        assert p.typical_outcomes == typical
+        assert p.outcomes == (len(joint) * len(joint[0])) ** n
+        if p.exact:
+            assert p.value == value
+        else:
+            assert p.as_float == pytest.approx(value, abs=1e-15)
+
+
+@pytest.mark.parametrize("joint,n,blocks", [(DSBS_EXACT, 4, [3] * 5 + [1]), (L3_EXACT, 3, [5] * 16 + [1])])
+def test_small_chunks_split_the_leading_digits(monkeypatch, joint, n, blocks):
+    seen = []
+    stack = oracle._stack_digits
+
+    def spy(lead, trail):
+        seen.append(lead.shape[1])
+        return stack(lead, trail)
+
+    monkeypatch.setattr(oracle, "_CHUNK", 50)
+    monkeypatch.setattr(oracle, "_stack_digits", spy)
+    exact_typicality_probability(joint, n, Permutation.identity(n), Fraction(1, 2))
+    assert seen[::2] == seen[1::2] == blocks  # x then y digits of each chunk
+
+
+def test_digit_tables_are_shared_read_only_and_one_chunk_at_most():
+    exact_typicality_probability(DSBS_EXACT, 10, Permutation.identity(10), Fraction(1, 4))
+    tables = oracle._digit_table(2, 2, 9)  # 4^10 outcomes: 9 trailing digits fill one chunk
+    assert oracle._digit_table(2, 2, 9) is tables
+    tx, ty, ttype, types = tables
+    assert tx.shape == ty.shape == (9, oracle._CHUNK) and ttype.shape == (oracle._CHUNK,)
+    assert not any(a.flags.writeable for a in tables)
+    # column r holds r's base-4 digits, most significant first; types are counts
+    r = 4 ** 9 - 2
+    digits = [(r // 4 ** (8 - i)) % 4 for i in range(9)]
+    assert (tx[:, r] * 2 + ty[:, r]).tolist() == digits
+    assert types[ttype[r]].tolist() == [digits.count(a) for a in range(4)]
+
+
+def test_outcome_cap_refuses_before_building_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a digit table was built")
+
+    monkeypatch.setattr(oracle, "_digit_table", refuse)
+    with pytest.raises(SizeGuardError):
+        exact_typicality_probability(UNIF_EXACT, 14, Permutation.identity(14), Fraction(1, 4))
+    with pytest.raises(SizeGuardError):
+        exact_typicality_probability(L3_EXACT, 4, Permutation.identity(4), Fraction(1, 4), cap=6560)
 
 
 @pytest.mark.parametrize("k,count", [(0, 1), (1, 0), (2, 1), (3, 2), (4, 9), (5, 44), (6, 265), (9, 133496)])
