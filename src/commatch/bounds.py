@@ -265,8 +265,8 @@ def achievability_profile(model: PairedEdgeModel,
     sizes = layout.scaled_sizes(n)
     c = len(sizes)
     step = grid_step if grid_step is not None else 1.0 / n
-    if step <= 0:
-        raise ParameterError("grid step must be positive")
+    if not 0 < step < math.inf:
+        raise ParameterError(f"grid step must be positive and finite, got {step}")
     log2n = math.log2(n)
     rows: list[AlphaRow] = []
     for alpha in map(float, _alpha_grid(1.0 - delta, step)):

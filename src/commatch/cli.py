@@ -85,8 +85,16 @@ def _parse_eps(value: str):
     return float(value)
 
 
+def _finite(name: str, value: Optional[float]) -> Optional[float]:
+    """value itself, unless it is nan or infinite."""
+    if value is not None and not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _resolve_eps(eps: Optional[float], n: int, kappa: float) -> float:
-    out = eps if eps is not None else default_epsilon(n, kappa)
+    _finite("kappa", kappa)
+    out = _finite("eps", eps) if eps is not None else default_epsilon(n, kappa)
     if out < 0:
         raise ParameterError(f"eps must be nonnegative, got {out}")
     return out
@@ -283,7 +291,7 @@ def _cmd_verify(args) -> int:
     if layout.c != 1:
         raise ValidationError(["verify needs a single-community model"])
     joint = model.joint[0, 0]
-    n, eps = args.n, args.eps
+    n, eps = args.n, _finite("eps", args.eps)
     lines = []
     failures = 0
     if args.check == "prop1":
@@ -351,9 +359,13 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_scan(args) -> int:
     model, layout = load_model(args.model)
-    ns = [int(v) for v in args.n_list.split(",") if v]
+    try:
+        ns = [int(v) for v in args.n_list.split(",") if v]
+    except ValueError:
+        raise ParameterError(f"--n-list needs integers, got {args.n_list!r}") from None
     if not ns:
         raise ParameterError("empty --n-list")
+    _finite("grid", args.grid)
     h = _config_hash({"command": "scan", "model": _file_sha256(args.model), "n_list": ns,
                       "delta": args.delta, "grid": args.grid})
     table = []

@@ -187,8 +187,15 @@ def _ut_matrix(flat: Sequence[int], n: int) -> np.ndarray:
 
 
 def save_instance(inst: MatchingInstance, path, extra: Optional[dict] = None) -> None:
-    """Write an instance as JSON (row-major strict upper triangles, 1-based truth)."""
-    layout = CommunityLayout.contiguous(inst.sizes)
+    """Write an instance as JSON (row-major strict upper triangles, 1-based truth).
+
+    The community maps are the instance's own; a wsi instance, which has none,
+    gets those of the contiguous layout.
+    """
+    comm1, comm2 = inst.comm1_of_label, inst.comm2_of_vertex
+    if comm1 is None or comm2 is None:
+        comm1 = CommunityLayout.contiguous(inst.sizes).membership
+        comm2 = [comm1[t] for t in inst._truth.mapping]
     doc = {
         "l": inst.model.l,
         "communities": list(inst.sizes),
@@ -198,8 +205,8 @@ def save_instance(inst: MatchingInstance, path, extra: Optional[dict] = None) ->
         "mode": inst.mode,
         "g1_ut": _ut_list(inst.g1_values, inst.n),
         "g2_ut": _ut_list(inst.g2_values, inst.n),
-        "comm1_of_label": list(layout.membership),
-        "comm2_of_vertex": [layout.membership[t] for t in inst._truth.mapping],
+        "comm1_of_label": list(comm1),
+        "comm2_of_vertex": list(comm2),
         "truth": to_one_based(inst._truth),
     }
     if extra:

@@ -30,26 +30,26 @@ with a window that misses its range passes for none, and the grid is empty
 (every axis keeps no permutation) without counting any block. Only the rest
 are counted.
 
-The wsi path decides pairs of community assignments the same way. Under a
-label-side assignment m1 a labeling puts the vertices in the communities m2
-that m1 reads through it, and every label pair falls in the same block on
-both sides, so the block's symbol totals are fixed by m1 in the first graph
-and by m2 in the second for every labeling that meets the pair (m1, m2). The
-same fold, run once over the pairs of swept assignments, marks each pair
-passing, dead or undecided; when some block passes under no margins at all,
-no pair passes and the pairs are not folded. A walk over m1 then keeps every
-labeling that meets a passing pair and drops every one that meets dead
-pairs only; only the rest are counted. Their counts come from one matrix
-product of the labelings' slot values against a 0/1 table of slots per
-(assignment, block, first-graph symbol). A full sweep is the union of the
-sweeps over every set of community sizes.
+The wsi path sweeps the label-side assignments with the instance's declared
+community sizes and decides pairs of them the same way. Under an assignment
+m1 a labeling puts the vertices in the communities m2 that m1 reads through
+it, and every label pair falls in the same block on both sides, so the
+block's symbol totals are fixed by m1 in the first graph and by m2 in the
+second for every labeling that meets the pair (m1, m2). The same fold, run
+once over the pairs of swept assignments, marks each pair passing, dead or
+undecided. When some pair passes, a walk over m1 keeps every labeling that
+meets a passing pair and drops every one that meets dead pairs only; only
+the rest are counted. When no pair passes but some is undecided, every
+labeling is counted; when every pair is dead, nothing is. Counts come from
+one matrix product of the labelings' slot values against a 0/1 table of
+slots per (assignment, block, first-graph symbol).
 
 Every window comes from one memoized table, `typicality.count_windows`, which
 turns the float expression of `is_jointly_typical` into integer windows of
-passing counts, one call per csi grid, per set of wsi pairs and per wsi count
-(slot counts broadcast against the model's cells). Every count is checked
-against its window in one place, `_within`, so the decisions agree with the
-scalar test bit for bit.
+passing counts, one call per csi grid and one per wsi sweep, whose pair fold
+and count share it (slot counts broadcast against the model's cells). Every
+count is checked against its window in one place, `_within`, so the
+decisions agree with the scalar test bit for bit.
 
 An ambiguity set is a boolean mask over a grid of candidates: one axis per
 community for csi, over that community's intra survivors in lex order, and
@@ -66,7 +66,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -107,8 +107,8 @@ class AmbiguitySet:
 
     Iteration yields the members in canonical order; len, `in` and
     select_labeling decode at most one of them. candidate_space counts the
-    hypotheses examined: prod_i n_i! (csi) or n! times the number of swept
-    assignments (wsi).
+    hypotheses examined: prod_i n_i! (csi) or n! times the number of
+    assignments with the declared community sizes (wsi).
     """
 
     grid: _Grid
@@ -519,35 +519,6 @@ def _assignments(sizes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _wsi_profiles(inst: MatchingInstance, full_sweep: bool,
-                  cap: int) -> tuple[list[tuple[int, ...]], int]:
-    """Community sizes of the swept label-side assignments and the candidate
-    space, size-guarded before any assignment is built."""
-    n, c = inst.n, inst.c
-    if full_sweep:
-        if n > 8:
-            raise SizeGuardError(f"full assignment sweep is limited to n <= 8, got n={n}")
-        count = c ** n
-    else:
-        count = math.factorial(n) // math.prod(math.factorial(k) for k in inst.sizes)
-    total = math.factorial(n) * count
-    if total > cap:
-        raise SizeGuardError(
-            f"{math.factorial(n)} candidates x {count} assignments exceed cap {cap}")
-    if not full_sweep:
-        return [tuple(inst.sizes)], total
-    return [tuple(sizes) for sizes in _compositions(n, c).tolist()], total
-
-
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """Every way to write total as parts ordered non-negative summands,
-    (C(total + parts - 1, parts - 1), parts), from the bar positions."""
-    bars = np.asarray(list(combinations(range(total + parts - 1), parts - 1)), dtype=np.intp)
-    edges = np.hstack([np.full((len(bars), 1), -1), bars.reshape(len(bars), parts - 1),
-                       np.full((len(bars), 1), total + parts - 1)])
-    return np.diff(edges, axis=1) - 1
-
-
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-d int array: the index of one occurrence of each,
     and the distinct row of every row (an index into the first array)."""
@@ -560,53 +531,26 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-# Margin pairs one block may fold in `_can_pass_all`; beyond it the block is
-# assumed to pass under some margins.
-_MARGIN_PAIRS = 1 << 16
-
-
-@lru_cache(maxsize=1 << 10)
-def _can_pass_all(p_bytes: bytes, l: int, eps: float, slots: int) -> bool:
-    """Whether some first- and second-graph margins make every joint type of
-    an l x l block with this many slots pass, by folding every pair of
-    margins; a block that cannot is in no passing assignment pair."""
-    if math.comb(slots + l - 1, l - 1) ** 2 > _MARGIN_PAIRS:
-        return True
-    margins = _compositions(slots, l)
-    lo, hi = count_windows(np.frombuffer(p_bytes).reshape(l, l), eps, slots)
-    _, all_pass, _ = _block_windows(margins[:, None], margins[None], np.asarray(slots), lo, hi)
-    return bool(all_pass.any())
-
-
-def _wsi_pairs(inst: MatchingInstance, eps: float,
-               asg: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _wsi_pairs(inst: MatchingInstance, asg: np.ndarray, slots: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Margin verdicts of the assignment pairs (m1, m2), (|A|, |A|) each:
     whether every labeling that meets the pair passes, and whether the pair
-    is left to be counted; None when no pair can pass.
+    is left to be counted; a pair that is neither is dead.
 
     A labeling meets (m1, m2) when it maps each label's community under m1
     onto its vertex's community under m2. It keeps every block's slots in the
     block, so each block's first-graph totals (under m1) and second-graph
     totals (under m2) are the margins of its joint type, as in a csi grid.
-    All assignments share their sizes, hence their blocks' slot counts, so a
-    block that passes under no margins at all leaves no pair passing.
-    Otherwise few totals are distinct, and the fold runs once over every
-    (block, first-graph totals) x (block, second-graph totals) that occurs;
-    the verdicts it gives across two different blocks are never read.
+    All assignments share their sizes, hence each block's slot count and
+    count windows (slots, lo and hi per block). Few totals are distinct, and
+    the fold runs once over every (block, first-graph totals) x (block,
+    second-graph totals) that occurs; the verdicts it gives across two
+    different blocks are never read.
     """
     c, l = inst.c, inst.model.l
-    joint = np.asarray(inst.model.joint, dtype=float)
-    iu, ju, _ = _block_index(c)
-    sizes = np.bincount(asg[0], minlength=c)
-    slots = np.where(iu == ju, sizes[iu] * (sizes[iu] - 1) // 2, sizes[iu] * sizes[ju])
-    if not all(_can_pass_all(joint[i, j].tobytes(), l, float(eps), k)
-               for i, j, k in zip(iu.tolist(), ju.tolist(), slots.tolist())):
-        return None
-    na = len(asg)
+    na, nb = len(asg), len(slots)
     rows = _block_totals(inst.g1_values, asg, c, l)  # (|A|, block, symbol)
     cols = _block_totals(inst.g2_values, asg, c, l)
-    nb = rows.shape[1]
-    lo, hi = count_windows(joint[iu, ju], eps, slots[:, None, None])
     block = np.broadcast_to(np.arange(nb), (na, nb)).reshape(-1, 1)
     r_at, r_of = _distinct_rows(np.hstack([block, rows.reshape(-1, l)]))
     c_at, c_of = _distinct_rows(np.hstack([block, cols.reshape(-1, l)]))
@@ -624,10 +568,12 @@ def _wsi_pairs(inst: MatchingInstance, eps: float,
 _WSI_CHUNK = 1 << 14
 
 
-def _wsi_count(inst: MatchingInstance, eps: float, asg: np.ndarray,
-               rows: np.ndarray) -> np.ndarray:
+def _wsi_count(inst: MatchingInstance, asg: np.ndarray, rows: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """bool per entry of rows (indices into the lex label -> vertex table):
-    is the labeling typical under some assignment of asg? Found by counting.
+    is the labeling typical under some assignment of asg? Found by counting
+    against the count windows lo, hi (block, x, y), which every assignment
+    shares.
 
     Under assignment m1 the vertex side's communities are m1 read through the
     candidate, so label pair (u, v) sits in block (m1[u], m1[v]) on both sides
@@ -638,21 +584,18 @@ def _wsi_count(inst: MatchingInstance, eps: float, asg: np.ndarray,
     count, so float32 is exact. Cells with y = 0 follow from W's column totals,
     and labelings are processed in chunks of rows.
     """
-    n, c, l = inst.n, inst.c, inst.model.l
+    n, l = inst.n, inst.model.l
     s1, s2 = _pair_slots(n)
-    iu, ju, block_of = _block_index(c)
-    nb = len(iu)
+    block_of = _block_index(inst.c)[2]
     na = len(asg)
     blk = block_of[asg[:, s1], asg[:, s2]]  # (|A|, S)
     # Columns in (block, x, assignment) order, so the test over a labeling's
     # cells reduces across whole rows of assignments.
     cols = (blk * l + inst.g1_values[s1, s2]) * na + np.arange(na)[:, None]
-    w = np.zeros((len(s1), nb * l * na), dtype=np.float32)
+    w = np.zeros((len(s1), len(lo) * l * na), dtype=np.float32)
     w[np.arange(len(s1)), cols] = 1.0
-    tot = w.sum(axis=0)  # slots per (block, x, assignment)
-    slots = tot.reshape(nb, l, na).sum(axis=1).astype(np.intp)  # per (block, assignment)
-    lo, hi = (a.reshape(-1, l).astype(np.float32) for a in count_windows(
-        inst.model.joint[iu, ju][:, :, None], eps, slots[:, None, :, None]))
+    tot = w.sum(axis=0).reshape(-1, na)  # slots per (block, x) and assignment
+    lo, hi = (a.reshape(-1, l, 1).astype(np.float32) for a in (lo, hi))  # ((block, x), y, 1)
     # Cell y >= 1 bounds the hot count y; cell 0 bounds the sum of all hot
     # counts (at l = 2 both bound the single hot count). x lives in W's
     # columns, so `_within` keys carry the placeholder first-graph symbol 0.
@@ -671,31 +614,39 @@ def _wsi_count(inst: MatchingInstance, eps: float, asg: np.ndarray,
     for r0 in range(0, len(rows), step):
         p = perms[rows[r0:r0 + step]]
         g = np.take(inst.g2_values, p[:, s1] * n + p[:, s2])
-        fit = np.ones((len(p), w.shape[1]), dtype=bool)
-        _within(fit, {(0, y): (g == y).astype(np.float32) @ w for y in hot_ys}, windows)
+        fit = np.ones((len(p),) + tot.shape, dtype=bool)
+        _within(fit, {(0, y): ((g == y).astype(np.float32) @ w).reshape(fit.shape)
+                      for y in hot_ys}, windows)
         # typical: every (block, x) column group passes under some assignment
-        ok[r0:r0 + step] = fit.reshape(len(p), -1, na).all(axis=1).any(axis=1)
+        ok[r0:r0 + step] = fit.all(axis=1).any(axis=1)
     return ok
 
 
-def _wsi_mask(inst: MatchingInstance, eps: float, sizes: tuple[int, ...]) -> np.ndarray:
+def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     """bool[n!], in lex label -> vertex order: is the labeling typical under
-    some assignment of the labels with these community sizes?
+    some assignment of the labels with the instance's community sizes?
 
     Labeling r under m1 meets the pair (m1, m2) with m2[perms[r, u]] = m1[u].
     m2 is found by its code sum_v m2[v] c^(n-1-v), which equals
     sum_u m1[u] c^(n-1-perms[r, u]) and orders assignments lexicographically,
-    as they are listed. The walk takes one m1 at a time over the labelings
-    still open, keeps those it meets on a passing pair and stops when none
-    is left; labelings that met no passing pair but some undecided one are
-    counted, and the rest met dead pairs only.
+    as they are listed. When some pair passes, the walk takes one m1 at a
+    time over the labelings still open, keeps those it meets on a passing
+    pair and stops when none is left; labelings that met no passing pair but
+    some undecided one are counted, and the rest met dead pairs only. When
+    no pair passes but some is undecided every labeling is counted, and when
+    every pair is dead none is.
     """
-    asg = _assignments(sizes)
-    verdicts = _wsi_pairs(inst, eps, asg)
+    asg = _assignments(tuple(inst.sizes))
+    iu, ju, _ = _block_index(inst.c)
+    sizes = np.asarray(inst.sizes)
+    slots = np.where(iu == ju, sizes[iu] * (sizes[iu] - 1) // 2, sizes[iu] * sizes[ju])
+    lo, hi = count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None])
+    passes, undecided = _wsi_pairs(inst, asg, slots, lo, hi)
     perms = _perm_table(inst.n)
-    if verdicts is None or not verdicts[0].any():
-        return _wsi_count(inst, eps, asg, np.arange(len(perms)))
-    passes, undecided = verdicts
+    if not passes.any():
+        if undecided.any():
+            return _wsi_count(inst, asg, np.arange(len(perms)), lo, hi)
+        return np.zeros(len(perms), dtype=bool)
     # codes are below c^n < 2^53 for every n whose labeling table fits in
     # memory, so float64 products are exact
     weights = float(inst.c) ** np.arange(inst.n - 1, -1, -1)
@@ -714,33 +665,31 @@ def _wsi_mask(inst: MatchingInstance, eps: float, sizes: tuple[int, ...]) -> np.
             break
     todo = np.flatnonzero(counted & ~ok)
     if todo.size:
-        ok[todo] = _wsi_count(inst, eps, asg, todo)
+        ok[todo] = _wsi_count(inst, asg, todo, lo, hi)
     return ok
 
 
 def ambiguity_set_wsi(inst: MatchingInstance,
                       eps: Optional[float] = None,
-                      full_sweep: bool = False,
                       cap: int = DEFAULT_CANDIDATE_CAP) -> AmbiguitySet:
     """Union of per-assignment ambiguity sets when communities are unknown.
 
     A candidate enters when some hypothesized community assignment of the
-    labels (default: every assignment with the instance's declared sizes)
-    makes all blocks jointly typical; the anonymized side's assignment is the
-    candidate's image of the hypothesis, which is the only pairing with any
-    community-preserving candidates, so sweeping assignment pairs reduces to
-    sweeping one side. full_sweep drops the size constraint and tries all c^n
-    assignments (guarded to n <= 8), one set of community sizes at a time.
+    labels with the instance's declared sizes makes all blocks jointly
+    typical; the anonymized side's assignment is the candidate's image of the
+    hypothesis, which is the only pairing with any community-preserving
+    candidates, so sweeping assignment pairs reduces to sweeping one side.
+    The size guard runs before any assignment is built.
     """
     eps = default_epsilon(inst.n) if eps is None else eps
-    profiles, total = _wsi_profiles(inst, full_sweep, cap)
-    mask = np.zeros(math.factorial(inst.n), dtype=bool)
-    for sizes in profiles:
-        mask |= _wsi_mask(inst, eps, sizes)
+    labelings = math.factorial(inst.n)
+    count = labelings // math.prod(math.factorial(k) for k in inst.sizes)
+    if labelings * count > cap:
+        raise SizeGuardError(f"{labelings} candidates x {count} assignments exceed cap {cap}")
     everyone = np.arange(inst.n)
     grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(inst.n)],
-                 ranks=[None], mask=mask)
-    return AmbiguitySet(grid, eps, "wsi", total)
+                 ranks=[None], mask=_wsi_mask(inst, eps))
+    return AmbiguitySet(grid, eps, "wsi", labelings * count)
 
 
 def select_labeling(s: AmbiguitySet, seed: int) -> Labeling:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_wsi_match_is_refused_before_enumerating(tmp_path, monkeypatch):
 
 def test_invalid_model_exit_code(tmp_path, model_c2):
     bad = tmp_path / "bad.json"
-    bad.write_text(open(model_c2).read().replace("0.4", "0.3", 1))
+    bad.write_text(Path(model_c2).read_text().replace("0.4", "0.3", 1))
     assert main(["generate", "--model", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
@@ -234,7 +235,7 @@ MALFORMED_MODEL = {
 
 @pytest.mark.parametrize("name", list(MALFORMED_MODEL))
 def test_malformed_model_is_validation_error(tmp_path, model_c2, capsys, name):
-    doc = json.loads(open(model_c2).read())
+    doc = json.loads(Path(model_c2).read_text())
     doc.update(MALFORMED_MODEL[name])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -273,6 +274,37 @@ def test_negative_kappa_is_parameter_error(tmp_path, model_c2):
     assert code == 2
 
 
+MALFORMED_NUMBERS = [
+    pytest.param(["scan", "--model", "{c2}", "--n-list", "10,abc"], id="scan-n-list"),
+    pytest.param(["scan", "--model", "{c1}", "--n-list", "10", "--grid", "nan"], id="scan-grid"),
+    pytest.param(["verify", "--check", "prop1", "--model", "{c1}", "--n", "4", "--eps", "nan"],
+                 id="verify-eps"),
+    pytest.param(["region", "--model", "{c2}", "--n", "10", "--grid", "nan"], id="region-grid-nan"),
+    pytest.param(["region", "--model", "{c2}", "--n", "10", "--grid", "inf"], id="region-grid-inf"),
+    pytest.param(["campaign", "--model", "{c2}", "--n", "6", "--trials", "2", "--eps", "nan",
+                  "--out", "{out}"], id="campaign-eps"),
+    pytest.param(["campaign", "--model", "{c2}", "--n", "6", "--trials", "2", "--kappa", "nan",
+                  "--out", "{out}"], id="campaign-kappa"),
+    pytest.param(["match", "--input", "{inst}", "--eps", "nan"], id="match-eps"),
+    pytest.param(["match", "--input", "{inst}", "--eps", "inf"], id="match-eps-inf"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_NUMBERS)
+def test_malformed_numbers_are_parameter_errors(tmp_path, model_c1, model_c2, capsys, argv):
+    # non-finite eps, kappa and grid values and non-integer n values exit 2
+    # before writing anything
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--model", model_c2, "--out", str(inst)]) == 0
+    out = tmp_path / "camp"
+    argv = [a.format(c1=model_c1, c2=model_c2, inst=inst, out=out) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad parameters:") and not captured.out
+    assert not list(tmp_path.glob("camp*"))
+
+
 def test_unreadable_files_are_validation_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["generate", "--model", missing, "--out", str(tmp_path / "x")]) == 2
@@ -292,11 +324,11 @@ def test_campaign_outputs(tmp_path, model_c2):
     args = ["campaign", "--model", model_c2, "--n", "6", "--trials", "5",
             "--seed", "11", "--eps", "1.0", "--out", prefix]
     assert main(args) == 0
-    csv_text = open(prefix + ".csv").read()
+    csv_text = Path(prefix + ".csv").read_text()
     again = str(tmp_path / "camp2")
     assert main(["campaign", "--model", model_c2, "--n", "6", "--trials", "5",
                  "--seed", "11", "--eps", "1.0", "--out", again]) == 0
-    assert csv_text == open(again + ".csv").read()
+    assert csv_text == Path(again + ".csv").read_text()
     meta = [line for line in csv_text.splitlines() if line.startswith("#")]
     assert any("config_hash=" in m for m in meta)
     rows = list(csv.DictReader(
@@ -304,7 +336,7 @@ def test_campaign_outputs(tmp_path, model_c2):
     assert len(rows) == 5
     assert [r["trial"] for r in rows] == [str(i) for i in range(5)]
     assert all(r["mode"] == "csi" for r in rows)
-    summary = json.loads(open(prefix + ".summary.json").read())
+    summary = json.loads(Path(prefix + ".summary.json").read_text())
     assert summary["trials"] == 5 and summary["n"] == 6
     assert summary["truth_inclusion_rate"] == 1.0  # eps=1 includes everything
     assert 0.0 <= summary["mean_accuracy"] <= 1.0
@@ -316,8 +348,8 @@ def test_campaign_reruns_are_byte_identical(tmp_path, model_c2):
             "--seed", "2", "--eps", "1.0"]
     assert main(base + ["--out", a]) == 0
     assert main(base + ["--out", b]) == 0
-    assert open(a + ".csv").read() == open(b + ".csv").read()
-    assert open(a + ".summary.json").read() == open(b + ".summary.json").read()
+    assert Path(a + ".csv").read_text() == Path(b + ".csv").read_text()
+    assert Path(a + ".summary.json").read_text() == Path(b + ".summary.json").read_text()
 
 
 def test_campaign_config_hash_follows_model_contents(tmp_path, model_c2, monkeypatch):
@@ -332,13 +364,13 @@ def test_campaign_config_hash_follows_model_contents(tmp_path, model_c2, monkeyp
         monkeypatch.chdir(tmp_path / name)
         path = "model.json" if name == "a" else str(tmp_path / name / "model.json")
         assert main(args + [path]) == 0
-        outs.append((open("camp.csv", "rb").read(), open("camp.summary.json", "rb").read()))
+        outs.append((Path("camp.csv").read_bytes(), Path("camp.summary.json").read_bytes()))
     assert outs[0] == outs[1]
     # editing the file changes the hash, though its path stays the same
     model = tmp_path / "b" / "model.json"
     model.write_text(model.read_text() + "\n")
     assert main(args + ["model.json"]) == 0
-    assert (json.loads(open("camp.summary.json").read())["config_hash"]
+    assert (json.loads(Path("camp.summary.json").read_text())["config_hash"]
             != json.loads(outs[0][1])["config_hash"])
 
 
@@ -347,7 +379,7 @@ def test_campaign_seeds_are_per_trial(tmp_path, model_c2):
     main(["campaign", "--model", model_c2, "--n", "6", "--trials", "4",
           "--seed", "9", "--eps", "1.0", "--out", prefix])
     rows = list(csv.DictReader(
-        line for line in open(prefix + ".csv").read().splitlines()
+        line for line in Path(prefix + ".csv").read_text().splitlines()
         if not line.startswith("#")))
     seeds = [int(r["seed"]) for r in rows]
     assert seeds == [trial_seed(9, i) for i in range(4)]
@@ -398,7 +430,7 @@ def test_wsi_campaign_matches_csi_at_one_community(tmp_path, model_c1):
                      "--mode", mode, "--seed", "3", "--eps", "1.0",
                      "--out", prefix]) == 0
         rows = list(csv.DictReader(
-            line for line in open(prefix + ".csv").read().splitlines()
+            line for line in Path(prefix + ".csv").read_text().splitlines()
             if not line.startswith("#")))
         outs[mode] = rows
     for a, b in zip(outs["csi"], outs["wsi"]):

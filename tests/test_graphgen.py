@@ -9,6 +9,7 @@ from commatch.graphgen import (
     save_instance,
     vertex_accuracy,
 )
+from commatch.matcher import ambiguity_set_csi
 from commatch.model import (
     CommunityLayout,
     EdgeAlphabet,
@@ -156,6 +157,21 @@ def test_instance_roundtrip(tmp_path, mode):
     assert back.comm2_of_vertex == inst.comm2_of_vertex
     assert back.sealed_truth() == inst.sealed_truth()
     assert np.array_equal(back.model.joint, inst.model.joint)
+
+
+def test_interleaved_instance_roundtrip_keeps_its_maps(tmp_path):
+    # the file holds the instance's own community maps, not the contiguous
+    # layout's, so the reloaded instance has the same ambiguity set
+    model, _ = homogeneous_model(dsbs_joint(0.2), (3, 3))
+    layout = CommunityLayout((3, 3), (0, 1, 0, 1, 0, 1))
+    inst = anonymize(sample_pair(model, layout, seed=4), "csi", shuffle_seed=4)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    back = load_instance(path)
+    assert back.comm1_of_label == inst.comm1_of_label == layout.membership
+    assert back.comm2_of_vertex == inst.comm2_of_vertex
+    got = [p.mapping for p in ambiguity_set_csi(back, eps=0.3)]
+    assert got == [p.mapping for p in ambiguity_set_csi(inst, eps=0.3)] and got
 
 
 def test_load_mode_override_drops_side_information(tmp_path):

@@ -256,23 +256,6 @@ def test_block_windows_decide_every_joint_type(l, joints, max_slots):
                         assert 0 < members.sum() < len(members), (slots, eps, uniq[g])
 
 
-@pytest.mark.parametrize("l, joints, max_slots", [(2, L2_JOINTS, 12), (3, [copy_joint(3)], 5)],
-                         ids=["l2", "copy3"])
-def test_can_pass_all_matches_joint_types(l, joints, max_slots):
-    # some pair of margins makes every joint type with them pass exactly when
-    # _can_pass_all says so
-    for slots in range(max_slots + 1):
-        tables = _tables(l, slots)
-        margins = np.hstack([tables.sum(axis=2), tables.sum(axis=1)])
-        group = np.unique(margins, axis=0, return_inverse=True)[1].ravel()
-        for p in joints:
-            for eps in [e / 20 for e in range(1, 21)]:
-                passes = _passes(p, eps, tables)
-                want = any(passes[group == g].all() for g in np.unique(group))
-                got = matcher._can_pass_all(np.asarray(p, dtype=float).tobytes(), l, eps, slots)
-                assert got == want, (slots, eps)
-
-
 def test_block_windows_decide_sampled_joint_types():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -529,16 +512,12 @@ def test_csi_equals_wsi_for_one_community():
             assert a == b
 
 
-def _brute_wsi(inst, eps_list, full_sweep=False):
+def _brute_wsi(inst, eps_list):
     # the scalar per-candidate loop: a labeling enters when some assignment of
     # the labels makes all blocks typical, with the vertex side's communities
     # the assignment read through the labeling; blocks are shared across eps
     n, c = inst.n, inst.c
-    if full_sweep:
-        assignments = list(itertools.product(range(c), repeat=n))
-    else:
-        labels = [i for i, k in enumerate(inst.sizes) for _ in range(k)]
-        assignments = sorted(set(itertools.permutations(labels)))
+    assignments = [tuple(m) for m in _all_assignments(inst).tolist()]
     found = {eps: set() for eps in eps_list}
     for ltv in itertools.permutations(range(n)):
         sigma = Permutation(ltv).inverse()
@@ -574,17 +553,21 @@ def _wsi_instance(sizes, model, seed):
     return anonymize(sample_pair(m, lay, seed), "wsi", shuffle_seed=seed)
 
 
-def _all_assignments(inst, full_sweep):
+def _all_assignments(inst):
     # the swept label-side assignments, straight from their definition
-    if full_sweep:
-        return np.asarray(list(itertools.product(range(inst.c), repeat=inst.n)))
     labels = [i for i, k in enumerate(inst.sizes) for _ in range(k)]
     return np.asarray(sorted(set(itertools.permutations(labels))))
 
 
-def _counted_mask(inst, eps, asg):
-    # every labeling through the counting kernel, no margin verdicts
-    return matcher._wsi_count(inst, eps, asg, np.arange(math.factorial(inst.n)))
+def _counted_mask(inst, eps):
+    # every labeling through the counting kernel, no margin verdicts, with the
+    # windows of each block's slot count under the declared sizes
+    iu, ju = np.triu_indices(inst.c)
+    k = np.asarray(inst.sizes)
+    slots = np.where(iu == ju, k[iu] * (k[iu] - 1) // 2, k[iu] * k[ju])
+    lo, hi = count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None])
+    return matcher._wsi_count(inst, _all_assignments(inst), np.arange(math.factorial(inst.n)),
+                              lo, hi)
 
 
 SMALL_EPS = (0.2, 0.3, 0.45, None)  # None: the default schedule
@@ -594,7 +577,7 @@ SMALL_EPS = (0.2, 0.3, 0.45, None)  # None: the default schedule
     ((1, 3), "community", 2, SMALL_EPS),  # the intra block of community 1 has no slot
     ((1, 3), "copy3", 1, SMALL_EPS),
     ((2, 2), "community", 2, SMALL_EPS),
-    ((2, 2), "copy3", 1, SMALL_EPS),
+    ((1, 2, 2), "copy3", 1, SMALL_EPS),  # a (2, 2) copy3 sweep keeps all or none at any eps
     ((2, 3), "community", 1, SMALL_EPS),
     ((2, 3), "copy3", 1, SMALL_EPS),
     ((3, 3), "community", 1, (0.3, 0.45, None)),
@@ -606,19 +589,17 @@ def test_wsi_set_matches_scalar_loop(monkeypatch, sizes, model, seed, eps_list):
     n = inst.n
     eps_list = [default_epsilon(n) if e is None else e for e in eps_list]
     sizes_seen = set()
-    for full_sweep in ([False, True] if n <= 5 else [False]):
-        want = _brute_wsi(inst, eps_list, full_sweep)
-        asg = _all_assignments(inst, full_sweep)
-        for chunk in (matcher._WSI_CHUNK, 1 << 8):  # 1 << 8: several chunks per instance
-            monkeypatch.setattr(matcher, "_WSI_CHUNK", chunk)
-            for eps in eps_list:
-                s = ambiguity_set_wsi(inst, eps=eps, full_sweep=full_sweep)
-                assert {p.mapping for p in s} == want[eps], (full_sweep, chunk, eps)
-                keys = [p.inverse().mapping for p in s]
-                assert keys == sorted(keys)
-                sizes_seen.add(len(s))
-                # the counting kernel alone, over every labeling and assignment
-                assert (_counted_mask(inst, eps, asg) == s.grid.mask).all(), (full_sweep, chunk, eps)
+    want = _brute_wsi(inst, eps_list)
+    for chunk in (matcher._WSI_CHUNK, 1 << 8):  # 1 << 8: several chunks per instance
+        monkeypatch.setattr(matcher, "_WSI_CHUNK", chunk)
+        for eps in eps_list:
+            s = ambiguity_set_wsi(inst, eps=eps)
+            assert {p.mapping for p in s} == want[eps], (chunk, eps)
+            keys = [p.inverse().mapping for p in s]
+            assert keys == sorted(keys)
+            sizes_seen.add(len(s))
+            # the counting kernel alone, over every labeling and assignment
+            assert (_counted_mask(inst, eps) == s.grid.mask).all(), (chunk, eps)
     # every case keeps a proper, nonempty subset at some eps
     assert sizes_seen - {0, math.factorial(n)}
 
@@ -644,26 +625,52 @@ def test_default_schedule_wsi_is_decided_on_margins(monkeypatch, sizes, seeds):
             want[[_lex_rank(np.asarray(p.inverse().mapping))
                   for p in map(Permutation, _brute_wsi(inst, [eps])[eps])]] = True
         else:
-            want = _counted_mask(inst, eps, _all_assignments(inst, False))
+            want = _counted_mask(inst, eps)
         with monkeypatch.context() as m:
             _refuse_wsi_counting(m)
             s = ambiguity_set_wsi(inst)
         assert (s.grid.mask == want).all(), seed
 
 
-def test_tight_eps_skips_the_verdict_fold(monkeypatch):
+def _recording_wsi_count(monkeypatch):
+    # the rows every _wsi_count call is given, in call order
+    counted = []
+    count = matcher._wsi_count
+
+    def recording(inst, asg, rows, lo, hi):
+        counted.append(rows.tolist())
+        return count(inst, asg, rows, lo, hi)
+
+    monkeypatch.setattr(matcher, "_wsi_count", recording)
+    return counted
+
+
+def test_no_passing_pair_counts_every_labeling(monkeypatch):
     # dsbs(0.1) (4,3) at eps 0.3: the 3-slot block passes every joint type
-    # under no margins, so no pair passes and every labeling is counted
+    # under no margins, so no pair passes, some pair is undecided and every
+    # labeling is counted, in one call
     model, lay = homogeneous_model(dsbs_joint(0.1), (4, 3))
     inst = anonymize(sample_pair(model, lay, 2), "wsi", shuffle_seed=2)
-    want = _counted_mask(inst, 0.3, _all_assignments(inst, False))
-
-    def refuse(*args):
-        raise AssertionError("margins were folded")
-
-    monkeypatch.setattr(matcher, "_block_totals", refuse)
+    want = _counted_mask(inst, 0.3)
+    counted = _recording_wsi_count(monkeypatch)
     assert (ambiguity_set_wsi(inst, eps=0.3).grid.mask == want).all()
+    assert counted == [list(range(len(want)))]
     assert 0 < want.sum() < len(want)
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 2), (2, 2, 2)])
+def test_every_pair_dead_gives_empty_set_without_counting(monkeypatch, sizes):
+    # dsbs(0.1) at eps 0.3: every assignment pair has a block whose margins
+    # leave no typical count, so the set is empty and nothing is counted
+    model, lay = homogeneous_model(dsbs_joint(0.1), sizes)
+    inst = anonymize(sample_pair(model, lay, 0), "wsi", shuffle_seed=0)
+    assert not _counted_mask(inst, 0.3).any()
+    _refuse_wsi_counting(monkeypatch)
+    s = ambiguity_set_wsi(inst, eps=0.3)
+    assert len(s) == 0 and list(s) == [] and inst.sealed_truth() not in s
+    assert s.candidate_space == math.factorial(inst.n) * len(_all_assignments(inst))
+    with pytest.raises(EmptyAmbiguitySetError):
+        run_matching(inst, eps=0.3)
 
 
 def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
@@ -671,15 +678,9 @@ def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
     # some meet only undecided and dead pairs and are counted (some of those
     # pass), and the rest meet dead pairs only
     inst = _wsi_instance((3, 3), "community", 1)
-    counted = []
-    count = matcher._wsi_count
-
-    def recording(inst, eps, asg, rows):
-        counted.extend(rows.tolist())
-        return count(inst, eps, asg, rows)
-
-    monkeypatch.setattr(matcher, "_wsi_count", recording)
+    calls = _recording_wsi_count(monkeypatch)
     s = ambiguity_set_wsi(inst, eps=0.45)
+    counted = [r for rows in calls for r in rows]
     mask = s.grid.mask
     was_counted = np.zeros_like(mask)
     was_counted[counted] = True
@@ -692,18 +693,18 @@ def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
 
 def test_wsi_verdicts_match_counting_sampled():
     # the verdict walk against the counting kernel over every labeling and
-    # assignment, at l = 2 and 3, with full sweeps and zero-slot blocks
+    # assignment, at l = 2 and 3, with zero-slot blocks
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(st.sampled_from([(1, 3), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (3, 2)]),
                       st.sampled_from(["community", "dsbs", "copy3"]),
-                      st.integers(0, 40), st.integers(2, 16), st.booleans())
-    def check(sizes, model, seed, e, full_sweep):
+                      st.integers(0, 40), st.integers(2, 16))
+    def check(sizes, model, seed, e):
         inst = _wsi_instance(sizes, model, seed)
-        got = ambiguity_set_wsi(inst, eps=e / 20, full_sweep=full_sweep).grid.mask
-        want = _counted_mask(inst, e / 20, _all_assignments(inst, full_sweep))
+        got = ambiguity_set_wsi(inst, eps=e / 20).grid.mask
+        want = _counted_mask(inst, e / 20)
         assert (got == want).all()
 
     check()
@@ -714,16 +715,6 @@ def test_assignments_are_shared_and_in_lex_order():
     assert matcher._assignments((2, 0, 1)) is asg and not asg.flags.writeable
     assert asg.tolist() == [list(m) for m in sorted(set(itertools.permutations([0, 0, 2])))]
     assert matcher._assignments((0, 0)).shape == (1, 0)
-
-
-def test_wsi_profiles_cover_the_full_sweep():
-    inst = _instance(seed=0, sizes=(2, 2, 1), mode="wsi")
-    profiles, total = matcher._wsi_profiles(inst, True, DEFAULT_CANDIDATE_CAP)
-    assert total == math.factorial(5) * 3 ** 5
-    assert sum(len(matcher._assignments(p)) for p in profiles) == 3 ** 5
-    assert len(set(profiles)) == len(profiles) and (0, 0, 5) in profiles
-    sized, total = matcher._wsi_profiles(inst, False, DEFAULT_CANDIDATE_CAP)
-    assert sized == [(2, 2, 1)] and total == math.factorial(5) * 30
 
 
 def test_wsi_size_guard_comes_before_enumeration(monkeypatch):
@@ -755,19 +746,6 @@ def test_wsi_run_matching_selects_from_the_set(sizes, model, seed, eps):
         assert res.diagnostics.candidate_space == s.candidate_space
         assert res.diagnostics.truth_included == (truth in s)
         assert res.accuracy == inst.score(res.labeling)
-
-
-def test_wsi_full_sweep_is_superset():
-    inst = _instance(seed=1, sizes=(2, 2), mode="wsi")
-    sized = {p.mapping for p in ambiguity_set_wsi(inst, eps=0.3)}
-    swept = {p.mapping for p in ambiguity_set_wsi(inst, eps=0.3, full_sweep=True)}
-    assert sized <= swept
-
-
-def test_wsi_full_sweep_guard():
-    inst = _instance(seed=1, sizes=(5, 4), mode="wsi")
-    with pytest.raises(SizeGuardError):
-        ambiguity_set_wsi(inst, eps=0.3, full_sweep=True)
 
 
 def test_candidate_cap_guard():
