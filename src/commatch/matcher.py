@@ -37,12 +37,12 @@ it, and every label pair falls in the same block on both sides, so the
 block's symbol totals are fixed by m1 in the first graph and by m2 in the
 second for every labeling that meets the pair (m1, m2). The same fold, run
 once over the pairs of swept assignments, marks each pair passing, dead or
-undecided. When some pair passes, a walk over m1 keeps every labeling that
-meets a passing pair and drops every one that meets dead pairs only; only
-the rest are counted. When no pair passes but some is undecided, every
-labeling is counted; when every pair is dead, nothing is. Counts come from
-one matrix product of the labelings' slot values against a 0/1 table of
-slots per (assignment, block, first-graph symbol).
+undecided. A walk over m1 keeps every labeling that meets a passing pair and
+drops every one that meets dead pairs only; only the rest are counted, so
+when every pair is dead the set is empty and nothing is counted. When no
+pair passes but some is undecided, every labeling is counted without the
+walk. Counts come from one matrix product of the labelings' slot values
+against a 0/1 table of slots per (assignment, block, first-graph symbol).
 
 Every window comes from one memoized table, `typicality.count_windows`, which
 turns the float expression of `is_jointly_typical` into integer windows of
@@ -629,12 +629,12 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     Labeling r under m1 meets the pair (m1, m2) with m2[perms[r, u]] = m1[u].
     m2 is found by its code sum_v m2[v] c^(n-1-v), which equals
     sum_u m1[u] c^(n-1-perms[r, u]) and orders assignments lexicographically,
-    as they are listed. When some pair passes, the walk takes one m1 at a
-    time over the labelings still open, keeps those it meets on a passing
-    pair and stops when none is left; labelings that met no passing pair but
-    some undecided one are counted, and the rest met dead pairs only. When
-    no pair passes but some is undecided every labeling is counted, and when
-    every pair is dead none is.
+    as they are listed. The walk takes one m1 at a time over the labelings
+    still open, keeps those it meets on a passing pair and stops when none
+    is left; labelings that met no passing pair but some undecided one are
+    counted, and the rest met dead pairs only. So when every pair is dead
+    the walk meets nothing and counts nothing. When no pair passes but some
+    is undecided every labeling is counted instead of walking.
     """
     asg = _assignments(tuple(inst.sizes))
     iu, ju, _ = _block_index(inst.c)
@@ -643,10 +643,8 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     lo, hi = count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None])
     passes, undecided = _wsi_pairs(inst, asg, slots, lo, hi)
     perms = _perm_table(inst.n)
-    if not passes.any():
-        if undecided.any():
-            return _wsi_count(inst, asg, np.arange(len(perms)), lo, hi)
-        return np.zeros(len(perms), dtype=bool)
+    if not passes.any() and undecided.any():
+        return _wsi_count(inst, asg, np.arange(len(perms)), lo, hi)
     # codes are below c^n < 2^53 for every n whose labeling table fits in
     # memory, so float64 products are exact
     weights = float(inst.c) ** np.arange(inst.n - 1, -1, -1)
