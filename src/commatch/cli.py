@@ -31,9 +31,9 @@ from .bounds import (achievability_check, achievability_profile, converse_check,
                      er_achievability, er_converse, permuted_typicality_bound)
 from .errors import (CommatchError, EmptyAmbiguitySetError, ParameterError,
                      SizeGuardError, ValidationError)
-from .graphgen import anonymize, load_instance, sample_pair, save_instance
+from .graphgen import anonymize, parse_instance, sample_pair, save_instance
 from .matcher import DEFAULT_CANDIDATE_CAP, run_matching
-from .model import CommunityLayout, load_model
+from .model import CommunityLayout, load_model, parse_model, read_file
 from .oracle import exact_typicality_probability
 from .permutation import (Permutation, cycle_parameter_space,
                           standard_permutation, to_one_based)
@@ -53,14 +53,12 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _file_sha256(path: str) -> str:
-    """sha256 of a model or instance file's bytes, which a config hash keys on
-    so that it follows the file's contents and not the path it was read from."""
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as e:
-        raise ValidationError([f"cannot read {path}: {e}"]) from None
+def _read_hashed(path: str, kind: str) -> tuple[bytes, str]:
+    """A model or instance file's bytes, read once, and their sha256, which a
+    config hash keys on so that it follows the very contents parsed and not
+    the path they were read from."""
+    data = read_file(path, kind)
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _json_text(doc: dict) -> str:
@@ -143,15 +141,19 @@ def _quantiles(values: list[float], qs: Iterable[float]) -> list[float]:
     return out
 
 
-def run_campaign(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
+def run_campaign(cfg: ExperimentConfig,
+                 model_bytes: Optional[bytes] = None) -> tuple[list[TrialRecord], dict]:
     """Seeded Monte Carlo matching trials plus an accuracy summary.
 
-    Matcher errors are recorded on the trial (empty accuracy, error column)
-    rather than aborting the campaign.
+    model_bytes are the model file's contents when the caller has read them
+    already; otherwise cfg.model_path is read. Matcher errors are recorded on
+    the trial (empty accuracy, error column) rather than aborting the campaign.
     """
     if cfg.trials < 1:
         raise ParameterError(f"trial count must be >= 1, got {cfg.trials}")
-    model, base_layout = load_model(cfg.model_path)
+    if model_bytes is None:
+        model_bytes = read_file(cfg.model_path, "model")
+    model, base_layout = parse_model(model_bytes)
     layout = CommunityLayout.contiguous(base_layout.scaled_sizes(cfg.n))
     eps = _resolve_eps(cfg.eps, cfg.n, cfg.kappa)
 
@@ -214,18 +216,20 @@ def _csv_text(meta: Iterable[str], header: list[str], rows: Iterable[list]) -> s
 def _cmd_generate(args) -> int:
     if not args.out:
         raise ParameterError("generate writes an instance file; pass --out")
-    model, layout = load_model(args.model)
+    data, digest = _read_hashed(args.model, "model")
+    model, layout = parse_model(data)
     shuffle = args.shuffle_seed if args.shuffle_seed is not None else args.seed
     pair = sample_pair(model, layout, args.seed)
     inst = anonymize(pair, args.mode, shuffle)
-    h = _config_hash({"command": "generate", "model": _file_sha256(args.model),
+    h = _config_hash({"command": "generate", "model": digest,
                       "mode": args.mode, "seed": args.seed, "shuffle_seed": shuffle})
     save_instance(inst, args.out, extra={"tool_version": __version__, "config_hash": h})
     return 0
 
 
 def _cmd_match(args) -> int:
-    inst = load_instance(args.input, mode=args.mode)
+    data, digest = _read_hashed(args.input, "instance")
+    inst = parse_instance(data, mode=args.mode)
     eps = _resolve_eps(args.eps, inst.n, args.kappa)
     res = run_matching(inst, eps, seed=args.seed, cap=args.cap)
     d = res.diagnostics
@@ -239,7 +243,7 @@ def _cmd_match(args) -> int:
         "accuracy": res.accuracy,
         "labeling": to_one_based(res.labeling),
         "config_hash": _config_hash({
-            "command": "match", "input": _file_sha256(args.input), "mode": args.mode,
+            "command": "match", "input": digest, "mode": args.mode,
             "eps": eps, "kappa": args.kappa, "seed": args.seed, "cap": args.cap}),
         "tool_version": __version__,
     }
@@ -249,10 +253,11 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    model, layout = load_model(args.model)
+    data, digest = _read_hashed(args.model, "model")
+    model, layout = parse_model(data)
     rows = achievability_profile(model, layout, args.n, args.delta, args.grid)
     worst = min(rows, key=lambda r: r.margin_bits)
-    h = _config_hash({"command": "region", "model": _file_sha256(args.model), "n": args.n,
+    h = _config_hash({"command": "region", "model": digest, "n": args.n,
                       "delta": args.delta, "grid": args.grid})
     meta = [f"tool_version={__version__}", f"config_hash={h}",
             f"n={args.n} delta={args.delta!r} grid={args.grid!r}",
@@ -265,14 +270,15 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_converse(args) -> int:
-    model, layout = load_model(args.model)
+    data, digest = _read_hashed(args.model, "model")
+    model, layout = parse_model(data)
     v = converse_check(model, layout, args.n)
     doc = {
         "n": v.n,
         "lhs_bits": v.lhs_bits,
         "rhs_bits": v.rhs_bits,
         "impossible": v.impossible,
-        "config_hash": _config_hash({"command": "converse", "model": _file_sha256(args.model),
+        "config_hash": _config_hash({"command": "converse", "model": digest,
                                      "n": args.n}),
         "tool_version": __version__,
     }
@@ -339,8 +345,9 @@ def _cmd_campaign(args) -> int:
         model_path=args.model, n=args.n, mode=args.mode, trials=args.trials,
         master_seed=args.seed, eps=args.eps, kappa=args.kappa, cap=args.cap,
     )
-    records, summary = run_campaign(cfg)
-    h = _config_hash({"command": "campaign", "model": _file_sha256(cfg.model_path), "n": cfg.n,
+    data, digest = _read_hashed(cfg.model_path, "model")
+    records, summary = run_campaign(cfg, data)
+    h = _config_hash({"command": "campaign", "model": digest, "n": cfg.n,
                       "mode": cfg.mode, "trials": cfg.trials, "seed": cfg.master_seed,
                       "eps": cfg.eps, "kappa": cfg.kappa, "cap": cfg.cap})
     _emit(_csv_text([f"tool_version={__version__}", f"config_hash={h}"],
@@ -358,7 +365,8 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    model, layout = load_model(args.model)
+    data, digest = _read_hashed(args.model, "model")
+    model, layout = parse_model(data)
     try:
         ns = [int(v) for v in args.n_list.split(",") if v]
     except ValueError:
@@ -366,7 +374,7 @@ def _cmd_scan(args) -> int:
     if not ns:
         raise ParameterError("empty --n-list")
     _finite("grid", args.grid)
-    h = _config_hash({"command": "scan", "model": _file_sha256(args.model), "n_list": ns,
+    h = _config_hash({"command": "scan", "model": digest, "n_list": ns,
                       "delta": args.delta, "grid": args.grid})
     table = []
     for n in ns:

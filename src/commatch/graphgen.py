@@ -6,6 +6,13 @@ stream keyed by (seed, block id); within a block, slot k consumes the k-th
 variate of that stream. Sampling is therefore reproducible regardless of
 evaluation order or thread count.
 
+How `sample_pair` meets it: a slot plan, built once per layout and shared
+read-only, lists every block's slots in the canonical `block_slots` order
+as flat matrix indices, with each slot's block. Each call owns one Philox
+bit generator and re-keys it to (seed, block id), counter and buffer reset,
+before drawing that block's variates into one array; the CDF inversion of
+all slots is one batched comparison, and each graph is filled by one scatter.
+
 Generation works directly in label space: the first graph's labeling is the
 identity, so label a belongs to community layout.membership[a]. `anonymize`
 then hides the second graph behind a seeded uniform relabeling and seals the
@@ -17,13 +24,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .model import (CommunityLayout, PairedEdgeModel, _is_int, model_from_document,
-                    read_json_document, validate_model)
+                    parse_json_document, read_file, validate_model)
 from .permutation import Labeling, Permutation, from_one_based, to_one_based
 from .typicality import block_slots
 
@@ -31,9 +39,52 @@ _SHUFFLE_TAG = 0x5487
 _MASK64 = (1 << 64) - 1
 
 
+def _philox_key(seed: int, tag: int) -> np.ndarray:
+    return np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
+
+
 def _philox(seed: int, tag: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, tag)))
+
+
+def _rekey(gen: np.random.Generator, seed: int, tag: int) -> None:
+    """Put gen's Philox in the state of a fresh Philox(key=(seed, tag))."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(seed, tag)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+
+
+class _SlotPlan(NamedTuple):
+    """Every slot of a layout, block by block (i <= j, row-major) and in
+    `block_slots` order within a block."""
+
+    blocks: tuple[tuple[int, int], ...]  # (block id i*c + j, slot count), empty blocks left out
+    block_of: np.ndarray  # block id of each slot
+    ab: np.ndarray  # flat n x n index a*n + b of each slot (a, b)
+    ba: np.ndarray  # flat n x n index b*n + a
+
+
+@lru_cache(maxsize=64)
+def _slot_plan(layout: CommunityLayout) -> _SlotPlan:
+    """The layout's slot plan; shared, hence read-only."""
+    n, c = layout.n, layout.c
+    groups = [layout.vertices_of(i) for i in range(c)]
+    blocks, slots = [], []
+    for i in range(c):
+        for j in range(i, c):
+            s = block_slots(groups[i], groups[j] if j != i else None)
+            if s:
+                blocks.append((i * c + j, len(s)))
+                slots += s
+    a, b = np.array(slots, dtype=np.intp).reshape(-1, 2).T
+    block_of = np.repeat([t for t, _ in blocks], [k for _, k in blocks]).astype(np.intp)
+    plan = _SlotPlan(tuple(blocks), block_of, a * n + b, b * n + a)
+    for arr in plan[1:]:
+        arr.setflags(write=False)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -71,24 +122,23 @@ def sample_pair(model: PairedEdgeModel, layout: CommunityLayout, seed: int) -> C
     if not report.ok:
         raise ValidationError(report.violations)
     n, c, l = layout.n, layout.c, model.l
+    plan = _slot_plan(layout)
+    u = np.empty(len(plan.block_of))
+    gen = _philox(seed, 0)
+    start = 0
+    for tag, count in plan.blocks:
+        _rekey(gen, seed, tag)
+        gen.random(out=u[start:start + count])
+        start += count
+    # searchsorted(cdf, u, side="right") is the count of cdf entries <= u
+    cdf = np.cumsum(model.joint.reshape(c * c, l * l), axis=1)[plan.block_of]
+    idx = np.minimum((cdf <= u[:, None]).sum(axis=1), l * l - 1)
     v1 = np.zeros((n, n), dtype=np.int64)
     v2 = np.zeros((n, n), dtype=np.int64)
-    groups = [layout.vertices_of(i) for i in range(c)]
-    for i in range(c):
-        for j in range(i, c):
-            slots = block_slots(groups[i], groups[j] if j != i else None)
-            if not slots:
-                continue
-            gen = _philox(seed, i * c + j)
-            u = gen.random(len(slots))
-            cdf = np.cumsum(model.joint[i, j].reshape(-1))
-            idx = np.minimum(np.searchsorted(cdf, u, side="right"), l * l - 1)
-            xs, ys = idx // l, idx % l
-            for k, (a, b) in enumerate(slots):
-                v1[a, b] = v1[b, a] = xs[k]
-                v2[a, b] = v2[b, a] = ys[k]
-    v1.setflags(write=False)
-    v2.setflags(write=False)
+    for v, x in ((v1, idx // l), (v2, idx % l)):
+        np.put(v, plan.ab, x)
+        np.put(v, plan.ba, x)
+        v.setflags(write=False)
     ident = Permutation.identity(n)
     return CorrelatedPair(
         g1=LabeledGraph(layout, v1, ident),
@@ -246,13 +296,18 @@ def _community_map_violations(raw: dict, key: str, sizes: tuple[int, ...]) -> li
 
 
 def load_instance(path, mode: Optional[str] = None) -> MatchingInstance:
-    """Read an instance file; mode overrides the recorded one when given.
+    """Read an instance file; mode overrides the recorded one when given."""
+    return parse_instance(read_file(path, "instance"), mode)
+
+
+def parse_instance(data: bytes, mode: Optional[str] = None) -> MatchingInstance:
+    """Parse an instance file's bytes; mode overrides the recorded one when given.
 
     Edge value lists and, under mode csi, both community maps are checked
     against n, the alphabet and the community sizes; every problem found is
     reported in one ValidationError.
     """
-    raw = read_json_document(path, "instance")
+    raw = parse_json_document(data, "instance")
     missing = [k for k in ("l", "communities", "joint", "g1_ut", "g2_ut", "truth") if k not in raw]
     if missing:
         raise ValidationError([f"missing instance key: {k}" for k in missing])

@@ -154,29 +154,42 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
+VALID = ValidationReport(True, ())
+
+
 def validate_model(model: PairedEdgeModel, layout: CommunityLayout) -> ValidationReport:
     """Check structural invariants; reports every violation found.
 
-    Checked: tensor shape vs layout, entries >= 0, per-(i,j) normalization
-    within NORMALIZATION_TOL, and (i,j)-symmetry of the blocks.
+    Checked: tensor shape vs layout, entries >= 0 and finite, per-(i,j)
+    normalization within NORMALIZATION_TOL, and (i,j)-symmetry of the blocks.
+    Each check runs over the whole tensor at once; a model that passes them
+    all gets VALID, and only a failing one is walked block by block (row-major
+    (i, j)) to word its violations.
     """
-    v: list[str] = []
     c = layout.c
     if model.c != c:
-        v.append(f"community count: tensor has {model.c}, layout has {c}")
-        return ValidationReport(False, tuple(v))
+        return ValidationReport(False, (f"community count: tensor has {model.c}, layout has {c}",))
+    flat = model.joint.reshape(c, c, -1)
+    negative = (flat < 0).any(axis=2)
+    nonfinite = ~np.isfinite(flat).all(axis=2)
+    sums = flat.sum(axis=2)
+    unnormalized = np.abs(sums - 1.0) > NORMALIZATION_TOL
+    asymmetric = (flat != flat.transpose(1, 0, 2)).any(axis=2)  # NaN != NaN
+    if not (negative | nonfinite | unnormalized | asymmetric).any():
+        return VALID
+    v: list[str] = []
     for i in range(c):
         for j in range(c):
-            blk = model.joint[i, j]
-            if (blk < 0).any():
+            if negative[i, j]:
                 v.append(f"negative entries in block for communities ({i + 1},{j + 1})")
-            s = float(blk.sum())
-            if abs(s - 1.0) > NORMALIZATION_TOL:
+            if nonfinite[i, j]:
+                v.append(f"non-finite entries in block for communities ({i + 1},{j + 1})")
+            if unnormalized[i, j]:
                 v.append(
-                    f"normalization: block ({i + 1},{j + 1}) sums to {s!r}")
-            if j > i and not np.array_equal(model.joint[i, j], model.joint[j, i]):
+                    f"normalization: block ({i + 1},{j + 1}) sums to {float(sums[i, j])!r}")
+            if j > i and asymmetric[i, j]:
                 v.append(f"asymmetry between blocks ({i + 1},{j + 1}) and ({j + 1},{i + 1})")
-    return ValidationReport(not v, tuple(v))
+    return ValidationReport(False, tuple(v))
 
 
 def marginal(model: PairedEdgeModel, side: str) -> EdgeMarginal:
@@ -249,15 +262,22 @@ def homogeneous_model(joint: np.ndarray | Sequence, sizes: Sequence[int]) -> tup
 
 # -- JSON model files ---------------------------------------------------------
 
-def read_json_document(path, kind: str) -> dict:
-    """Read a JSON object from path; unreadable or malformed files raise
-    ValidationError instead of leaking OSError/JSONDecodeError to callers."""
+def read_file(path, kind: str) -> bytes:
+    """The bytes of a model or instance file; an unreadable file raises
+    ValidationError instead of leaking OSError to callers."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as e:
         raise ValidationError([f"cannot read {kind} file: {e}"]) from None
-    except json.JSONDecodeError as e:
+
+
+def parse_json_document(data: bytes, kind: str) -> dict:
+    """The JSON object in a file's UTF-8 bytes; malformed bytes raise
+    ValidationError instead of leaking a decode error to callers."""
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValidationError([f"{kind} file is not valid JSON: {e}"]) from None
     if not isinstance(raw, dict):
         raise ValidationError([f"{kind} file must hold a JSON object"])
@@ -299,7 +319,12 @@ def model_from_document(raw: dict) -> tuple[PairedEdgeModel, CommunityLayout]:
 
 def load_model(path) -> tuple[PairedEdgeModel, CommunityLayout]:
     """Load and validate a model file; raises ValidationError when broken."""
-    raw = read_json_document(path, "model")
+    return parse_model(read_file(path, "model"))
+
+
+def parse_model(data: bytes) -> tuple[PairedEdgeModel, CommunityLayout]:
+    """Parse and validate a model file's bytes; raises ValidationError when broken."""
+    raw = parse_json_document(data, "model")
     problems = [k for k in ("l", "communities", "joint") if k not in raw]
     if problems:
         raise ValidationError([f"missing model file key: {k}" for k in problems])

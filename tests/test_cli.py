@@ -245,6 +245,83 @@ def test_malformed_model_is_validation_error(tmp_path, model_c2, capsys, name):
     assert "invalid input" in capsys.readouterr().err
 
 
+NON_FINITE_MODEL_COMMANDS = [
+    pytest.param(["generate", "--out", "{out}"], id="generate"),
+    pytest.param(["campaign", "--n", "6", "--trials", "2", "--out", "{out}"], id="campaign"),
+    pytest.param(["region", "--n", "10", "--out", "{out}"], id="region"),
+    pytest.param(["converse", "--n", "10", "--out", "{out}"], id="converse"),
+    pytest.param(["scan", "--n-list", "10", "--out", "{out}"], id="scan"),
+    pytest.param(["verify", "--check", "prop1", "--n", "3", "--eps", "0.25", "--out", "{out}"],
+                 id="verify"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("argv", NON_FINITE_MODEL_COMMANDS)
+def test_non_finite_model_entry_is_validation_error(tmp_path, model_c1, model_c2, capsys,
+                                                    argv, value):
+    # json reads NaN and Infinity literals as floats; a model holding one is
+    # refused, naming its block, before anything is written
+    src = model_c1 if argv[0] == "verify" else model_c2
+    doc = json.loads(Path(src).read_text())
+    doc["joint"][0][0][1][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text() or "Infinity" in bad.read_text()
+    with pytest.raises(ValidationError):
+        load_model(bad)
+    out = tmp_path / "out"
+    argv = [a.format(out=out) for a in argv] + ["--model", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert ("invalid input: non-finite entries in block for communities (1,1)"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("mode", ["csi", "wsi"])
+def test_non_finite_instance_joint_is_validation_error(tmp_path, model_c2, capsys, mode):
+    inst_path = tmp_path / "inst.json"
+    assert main(["generate", "--model", model_c2, "--seed", "3", "--out", str(inst_path)]) == 0
+    doc = json.loads(inst_path.read_text())
+    doc["joint"][1][0][0][1] = math.nan
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        load_instance(bad)
+    capsys.readouterr()
+    assert main(["match", "--input", str(bad), "--mode", mode, "--eps", "0.9"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: non-finite entries in block for communities (2,1)" in err
+    assert "ambiguity set" not in err
+
+
+def test_model_and_instance_files_are_read_once(tmp_path, model_c2, monkeypatch):
+    # a config hash keys on the very bytes that were parsed: every command
+    # opens its model or instance file once
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--model", model_c2, "--out", str(inst)]) == 0
+    opened = []
+    real_open = open
+
+    def spy(path, *args, **kwargs):
+        if str(path) in (model_c2, str(inst)):
+            opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    for argv in (["generate", "--model", model_c2, "--out", str(tmp_path / "g.json")],
+                 ["match", "--input", str(inst), "--eps", "1.0", "--out", str(tmp_path / "m")],
+                 ["campaign", "--model", model_c2, "--n", "6", "--trials", "2",
+                  "--out", str(tmp_path / "camp")],
+                 ["region", "--model", model_c2, "--n", "10", "--out", str(tmp_path / "r")],
+                 ["converse", "--model", model_c2, "--n", "10", "--out", str(tmp_path / "c")],
+                 ["scan", "--model", model_c2, "--n-list", "10", "--out", str(tmp_path / "s")]):
+        opened.clear()
+        assert main(argv) == 0
+        assert len(opened) == 1, (argv[0], opened)
+
+
 @pytest.mark.parametrize("argv", [
     ["region", "--n", "10"],
     ["converse", "--n", "10"],
@@ -522,3 +599,29 @@ def test_module_entry_point(tmp_path, model_c2):
     assert run.returncode == 0
     doc = json.loads(run.stdout)
     assert "impossible" in doc
+
+
+def test_outputs_do_not_depend_on_hash_seed(tmp_path):
+    # generate and a campaign in fresh processes under different hash seeds
+    # write the same bytes: no cache or generator depends on hash or call order
+    model_path = tmp_path / "d3333.json"
+    model, lay = homogeneous_model(dsbs_joint(0.1), (3, 3, 3, 3))
+    save_model(model, lay, model_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(commatch.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    outs = []
+    for hash_seed in ("0", "2718"):
+        out = tmp_path / f"hash{hash_seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        for argv in (["generate", "--seed", "5", "--out", str(out / "inst.json")],
+                     ["campaign", "--n", "12", "--trials", "3", "--seed", "5", "--eps", "0.3",
+                      "--out", str(out / "camp")]):
+            run = subprocess.run([sys.executable, "-m", "commatch", *argv,
+                                  "--model", str(model_path)],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outs[0]) == ["camp.csv", "camp.summary.json", "inst.json"]
+    assert outs[0] == outs[1]

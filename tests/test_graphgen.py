@@ -20,6 +20,7 @@ from commatch.model import (
     uniform_product_joint,
 )
 from commatch.permutation import Permutation
+from commatch.typicality import block_slots
 
 MODEL, LAYOUT = homogeneous_model(dsbs_joint(0.2), (3, 2))
 
@@ -189,3 +190,69 @@ def test_load_rejects_missing_keys(tmp_path):
     path.write_text('{"l": 2}\n')
     with pytest.raises(ValidationError):
         load_instance(path)
+
+
+# -- sample_pair against a per-slot reference ---------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_values(model, layout, seed):
+    """The randomness contract written out slot by slot: a fresh
+    Philox(key=(seed, i*c + j)) per block, slots in block_slots order, each
+    inverted by searchsorted(side="right") on the block's CDF."""
+    n, c, l = layout.n, layout.c, model.l
+    v1 = np.zeros((n, n), dtype=np.int64)
+    v2 = np.zeros((n, n), dtype=np.int64)
+    groups = [layout.vertices_of(i) for i in range(c)]
+    for i in range(c):
+        for j in range(i, c):
+            slots = block_slots(groups[i], groups[j] if j != i else None)
+            if not slots:
+                continue
+            key = np.array([seed & _MASK64, i * c + j], dtype=np.uint64)
+            u = np.random.Generator(np.random.Philox(key=key)).random(len(slots))
+            cdf = np.cumsum(model.joint[i, j].reshape(-1))
+            idx = np.minimum(np.searchsorted(cdf, u, side="right"), l * l - 1)
+            for k, (a, b) in enumerate(slots):
+                v1[a, b] = v1[b, a] = idx[k] // l
+                v2[a, b] = v2[b, a] = idx[k] % l
+    return v1, v2
+
+
+def _blockwise_model(c, l, rng):
+    """A symmetric model with its own joint per block, zero cells included."""
+    joint = rng.random((c, c, l, l)) * (rng.random((c, c, l, l)) > 0.25)
+    joint[..., 0, 0] += 0.01
+    joint /= joint.sum(axis=(2, 3), keepdims=True)
+    iu, ju = np.triu_indices(c, 1)
+    joint[ju, iu] = joint[iu, ju]
+    return PairedEdgeModel(EdgeAlphabet(l), joint)
+
+
+REFERENCE_LAYOUTS = {
+    "contiguous": CommunityLayout.contiguous((3, 3, 3, 3)),
+    "interleaved": CommunityLayout((3, 3, 3, 3), tuple(v % 4 for v in range(12))),
+    "reversed": CommunityLayout((2, 4, 3), (2, 1, 0, 2, 1, 1, 0, 2, 1)),
+    "size-1": CommunityLayout((1, 3, 1, 2), (3, 1, 0, 1, 2, 3, 1)),
+    "all size-1": CommunityLayout.contiguous((1, 1, 1)),
+    "one community": CommunityLayout.contiguous((7,)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, -1])
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("name", list(REFERENCE_LAYOUTS))
+def test_sample_pair_equals_per_slot_reference(name, l, seed):
+    layout = REFERENCE_LAYOUTS[name]
+    rng = np.random.default_rng([l, layout.n, layout.c])
+    models = [homogeneous_model(dsbs_joint(0.1) if l == 2 else copy_joint(3), layout.sizes)[0],
+              _blockwise_model(layout.c, l, rng), _blockwise_model(layout.c, l, rng)]
+    for model in models:
+        pair = sample_pair(model, layout, seed)
+        want1, want2 = _reference_values(model, layout, seed)
+        for got, want in ((pair.g1.values, want1), (pair.g2.values, want2)):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+

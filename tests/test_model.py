@@ -8,6 +8,8 @@ from commatch.model import (
     CommunityLayout,
     EdgeAlphabet,
     PairedEdgeModel,
+    VALID,
+    ValidationReport,
     copy_joint,
     dsbs_joint,
     homogeneous_model,
@@ -86,6 +88,45 @@ def test_validate_catches_asymmetry():
     rep = validate_model(PairedEdgeModel(EdgeAlphabet(2), t), CommunityLayout.contiguous((2, 2)))
     assert not rep.ok
     assert any("asymmetry" in v for v in rep.violations)
+
+
+def test_validate_reports_every_violation_in_block_order():
+    # negative entries, bad sums and asymmetry in several blocks at once: the
+    # report lists them block by block, row-major, with the same texts as the
+    # per-block loop that preceded the whole-tensor checks
+    j = np.broadcast_to(dsbs_joint(0.2), (3, 3, 2, 2)).copy()
+    j[0, 0, 0, 0] = -0.1                       # (1,1): negative, sums below 1
+    j[0, 2] = [[0.5, 0.25], [0.25, 0.5]]       # (1,3): sums to 1.5, differs from (3,1)
+    j[2, 1] = [[0.6, 0.1], [0.5, -0.2]]        # (3,2): negative, normalized, differs from (2,3)
+    j[1, 1] *= 1 + 1e-9                        # (2,2): just outside the tolerance
+    rep = validate_model(PairedEdgeModel(EdgeAlphabet(2), j), CommunityLayout.contiguous((2, 2, 2)))
+    assert rep == ValidationReport(False, (
+        "negative entries in block for communities (1,1)",
+        "normalization: block (1,1) sums to 0.5",
+        "normalization: block (1,3) sums to 1.5",
+        "asymmetry between blocks (1,3) and (3,1)",
+        "normalization: block (2,2) sums to 1.000000001",
+        "asymmetry between blocks (2,3) and (3,2)",
+        "negative entries in block for communities (3,2)",
+    ))
+
+
+def test_validate_returns_the_shared_all_clear_report():
+    for joint, sizes in ((dsbs_joint(0.1), (3, 2)), (copy_joint(3), (1, 1, 4)), (copy_joint(2), (5,))):
+        model, lay = homogeneous_model(joint, sizes)
+        rep = validate_model(model, lay)
+        assert rep == ValidationReport(True, ()) and rep is VALID
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+def test_validate_catches_non_finite_entries(value):
+    # nan passes both the sign and the sum test, so it needs its own check
+    j = np.broadcast_to(dsbs_joint(0.2), (2, 2, 2, 2)).copy()
+    j[1, 1, 0, 1] = value
+    rep = validate_model(PairedEdgeModel(EdgeAlphabet(2), j), CommunityLayout.contiguous((2, 2)))
+    assert not rep.ok
+    assert "non-finite entries in block for communities (2,2)" in rep.violations
+    assert all("(1," not in v for v in rep.violations)
 
 
 def test_validate_catches_community_count_mismatch():
@@ -179,6 +220,10 @@ def test_load_wraps_file_errors(tmp_path):
     corrupt.write_text("{truncated")
     with pytest.raises(ValidationError, match="not valid JSON"):
         load_model(corrupt)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"l": 2, "name": "\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        load_model(latin1)
     arr = tmp_path / "arr.json"
     arr.write_text("[]")
     with pytest.raises(ValidationError, match="JSON object"):
