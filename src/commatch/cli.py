@@ -214,8 +214,6 @@ def _csv_text(meta: Iterable[str], header: list[str], rows: Iterable[list]) -> s
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    if not args.out:
-        raise ParameterError("generate writes an instance file; pass --out")
     data, digest = _read_hashed(args.model, "model")
     model, layout = parse_model(data)
     shuffle = args.shuffle_seed if args.shuffle_seed is not None else args.seed
@@ -339,8 +337,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    if not args.out:
-        raise ParameterError("campaign writes <prefix>.csv and <prefix>.summary.json; pass --out")
     cfg = ExperimentConfig(
         model_path=args.model, n=args.n, mode=args.mode, trials=args.trials,
         master_seed=args.seed, eps=args.eps, kappa=args.kappa, cap=args.cap,
@@ -410,8 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and region checks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", parents=[seed, common],
+    g = sub.add_parser("generate", parents=[seed],
                        help="sample a correlated pair and write an anonymized instance")
+    g.add_argument("--out", required=True, help="instance file to write")
     g.add_argument("--model", required=True)
     g.add_argument("--mode", choices=("csi", "wsi"), default="csi")
     g.add_argument("--shuffle-seed", type=int, default=None,
@@ -450,7 +447,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", required=True)
     v.set_defaults(func=_cmd_verify)
 
-    k = sub.add_parser("campaign", parents=[seed, common], help="seeded matching trials")
+    k = sub.add_parser("campaign", parents=[seed], help="seeded matching trials")
+    k.add_argument("--out", required=True, metavar="PREFIX",
+                   help="path prefix of the two files written: PREFIX.csv and PREFIX.summary.json")
     k.add_argument("--model", required=True)
     k.add_argument("--n", type=int, required=True)
     k.add_argument("--mode", choices=("csi", "wsi"), default="csi")

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .model import (CommunityLayout, PairedEdgeModel, _is_int, model_from_document,
-                    parse_json_document, read_file, validate_model)
-from .permutation import Labeling, Permutation, from_one_based, to_one_based
+                    parse_json_document, read_file)
+from .permutation import Labeling, from_one_based, to_one_based
 from .typicality import block_slots
 
 _SHUFFLE_TAG = 0x5487
@@ -88,23 +88,12 @@ def _slot_plan(layout: CommunityLayout) -> _SlotPlan:
 
 
 @dataclass(frozen=True)
-class LabeledGraph:
-    """Symmetric matrix of edge values indexed by label pairs."""
-
-    layout: CommunityLayout
-    values: np.ndarray
-    labeling: Labeling
-
-    def edge(self, a: int, b: int) -> int:
-        if a == b:
-            raise ParameterError("no self loops")
-        return int(self.values[a, b])
-
-
-@dataclass(frozen=True)
 class CorrelatedPair:
-    g1: LabeledGraph
-    g2: LabeledGraph
+    """Both graphs' read-only (n, n) edge-value matrices, indexed by label
+    pairs of the layout."""
+
+    g1: np.ndarray
+    g2: np.ndarray
     model: PairedEdgeModel
     layout: CommunityLayout
     seed: int
@@ -116,12 +105,12 @@ def sample_pair(model: PairedEdgeModel, layout: CommunityLayout, seed: int) -> C
     Slot (a, b) with communities (i, j) draws one uniform variate from the
     (seed, block id) stream and inverts the CDF of joint[i, j]. Both graphs'
     values at that slot come from the same draw, which is what makes the two
-    graphs correlated under the true (identity) alignment.
+    graphs correlated under the true (identity) alignment. The model is valid
+    once built; only its community count is checked against the layout.
     """
-    report = validate_model(model, layout)
-    if not report.ok:
-        raise ValidationError(report.violations)
     n, c, l = layout.n, layout.c, model.l
+    if model.c != c:
+        raise ValidationError([f"community count: tensor has {model.c}, layout has {c}"])
     plan = _slot_plan(layout)
     u = np.empty(len(plan.block_of))
     gen = _philox(seed, 0)
@@ -139,14 +128,7 @@ def sample_pair(model: PairedEdgeModel, layout: CommunityLayout, seed: int) -> C
         np.put(v, plan.ab, x)
         np.put(v, plan.ba, x)
         v.setflags(write=False)
-    ident = Permutation.identity(n)
-    return CorrelatedPair(
-        g1=LabeledGraph(layout, v1, ident),
-        g2=LabeledGraph(layout, v2, ident),
-        model=model,
-        layout=layout,
-        seed=seed,
-    )
+    return CorrelatedPair(g1=v1, g2=v2, model=model, layout=layout, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -194,7 +176,7 @@ def anonymize(pair: CorrelatedPair, mode: str, shuffle_seed: int) -> MatchingIns
     n = pair.layout.n
     gen = _philox(shuffle_seed, _SHUFFLE_TAG)
     tau = tuple(int(x) for x in gen.permutation(n))  # anon id -> true label
-    b = pair.g2.values[np.ix_(tau, tau)].copy()
+    b = pair.g2[np.ix_(tau, tau)].copy()
     b.setflags(write=False)
     membership = pair.layout.membership
     csi = mode == "csi"
@@ -203,7 +185,7 @@ def anonymize(pair: CorrelatedPair, mode: str, shuffle_seed: int) -> MatchingIns
         sizes=pair.layout.sizes,
         model=pair.model,
         mode=mode,
-        g1_values=pair.g1.values,
+        g1_values=pair.g1,
         g2_values=b,
         comm1_of_label=membership if csi else None,
         comm2_of_vertex=tuple(membership[t] for t in tau) if csi else None,
@@ -223,15 +205,15 @@ def vertex_accuracy(truth: Labeling, guess: Labeling) -> float:
 # -- instance files -----------------------------------------------------------
 
 def _ut_list(values: np.ndarray, n: int) -> list[int]:
-    return [int(values[a, b]) for a in range(n) for b in range(a + 1, n)]
+    """The strict upper triangle, row-major."""
+    return values[np.triu_indices(n, 1)].tolist()
 
 
 def _ut_matrix(flat: Sequence[int], n: int) -> np.ndarray:
+    """The symmetric matrix whose strict upper triangle, row-major, is flat."""
     m = np.zeros((n, n), dtype=np.int64)
-    it = iter(flat)
-    for a in range(n):
-        for b in range(a + 1, n):
-            m[a, b] = m[b, a] = int(next(it))
+    iu, ju = np.triu_indices(n, 1)
+    m[iu, ju] = m[ju, iu] = flat
     m.setflags(write=False)
     return m
 

@@ -545,7 +545,8 @@ def _wsi_pairs(inst: MatchingInstance, asg: np.ndarray, slots: np.ndarray,
     count windows (slots, lo and hi per block). Few totals are distinct, and
     the fold runs once over every (block, first-graph totals) x (block,
     second-graph totals) that occurs; the verdicts it gives across two
-    different blocks are never read.
+    different blocks are never read. A pair's worst block is then taken one
+    block at a time into one (|A|, |A|) array.
     """
     c, l = inst.c, inst.model.l
     na, nb = len(asg), len(slots)
@@ -558,9 +559,11 @@ def _wsi_pairs(inst: MatchingInstance, asg: np.ndarray, slots: np.ndarray,
     _, all_pass, dead = _block_windows(rows.reshape(-1, l)[r_at, None], cols.reshape(-1, l)[c_at],
                                        slots[b, None], lo[b, None], hi[b, None])
     # 2 passes, 1 is left to count, 0 is dead; a pair takes its worst block
-    state = (all_pass.astype(np.int8) + ~dead).ravel()
-    at = r_of.reshape(na, nb).T[:, :, None] * len(c_at) + c_of.reshape(na, nb).T[:, None, :]
-    verdict = state[at].min(axis=0)  # (m1, m2)
+    state = all_pass.astype(np.int8) + ~dead
+    r_of, c_of = r_of.reshape(na, nb), c_of.reshape(na, nb)
+    verdict = np.full((na, na), 2, dtype=np.int8)  # (m1, m2)
+    for k in range(nb):
+        np.minimum(verdict, state[np.ix_(r_of[:, k], c_of[:, k])], out=verdict)
     return verdict == 2, verdict == 1
 
 

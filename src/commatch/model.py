@@ -26,17 +26,6 @@ NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class EdgeAlphabet:
-    """Shared edge-value alphabet {0, ..., size-1} for both graphs."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ParameterError(f"edge alphabet needs size >= 2, got {self.size}")
-
-
-@dataclass(frozen=True)
 class CommunityLayout:
     """Community sizes plus a vertex -> community map."""
 
@@ -106,25 +95,61 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_alphabet(l: int) -> None:
+    if l < 2:
+        raise ValidationError([f"edge alphabet needs size >= 2, got {l}"])
+
+
 @dataclass(frozen=True)
 class PairedEdgeModel:
     """Joint edge-value law per ordered community pair.
 
     joint has shape (c, c, l, l); joint[i, j, x, y] is the probability that a
     matched vertex pair with communities (i, j) carries value x in the first
-    graph and y in the second. Unmatched pairs follow product_coupling(model).
+    graph and y in the second, over the shared edge-value alphabet
+    {0, ..., l-1}. Unmatched pairs follow product_coupling(model).
+
+    A model is valid once built: the constructor raises ValidationError when
+    the alphabet has fewer than 2 values or the tensor is not (c, c, l, l),
+    and otherwise lists every block with negative or non-finite entries, a
+    sum off 1 by more than NORMALIZATION_TOL, or (for i < j) a block unequal
+    to its mirror, row-major (i, j). Each check runs over the whole tensor at
+    once; only a failing model is walked block by block to word them.
     """
 
-    alphabet: EdgeAlphabet
     joint: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "joint", _readonly(self.joint))
-        if self.joint.ndim != 4:
-            raise ParameterError(f"joint tensor must be 4-d, got {self.joint.ndim}-d")
-        c1, c2, l1, l2 = self.joint.shape
-        if c1 != c2 or l1 != l2 or l1 != self.alphabet.size:
-            raise ParameterError(f"joint tensor shape {self.joint.shape} inconsistent")
+        joint = _readonly(self.joint)
+        object.__setattr__(self, "joint", joint)
+        if joint.ndim:
+            _check_alphabet(joint.shape[-1])
+        if joint.ndim != 4:
+            raise ValidationError([f"joint tensor must be 4-d, got {joint.ndim}-d"])
+        c, c2, l, l2 = joint.shape
+        if c != c2 or l != l2:
+            raise ValidationError([f"joint tensor shape {joint.shape} inconsistent"])
+        flat = joint.reshape(c, c, -1)
+        negative = (flat < 0).any(axis=2)
+        nonfinite = ~np.isfinite(flat).all(axis=2)
+        sums = flat.sum(axis=2)
+        unnormalized = np.abs(sums - 1.0) > NORMALIZATION_TOL
+        asymmetric = (flat != flat.transpose(1, 0, 2)).any(axis=2)  # NaN != NaN
+        if not (negative | nonfinite | unnormalized | asymmetric).any():
+            return
+        v: list[str] = []
+        for i in range(c):
+            for j in range(c):
+                if negative[i, j]:
+                    v.append(f"negative entries in block for communities ({i + 1},{j + 1})")
+                if nonfinite[i, j]:
+                    v.append(f"non-finite entries in block for communities ({i + 1},{j + 1})")
+                if unnormalized[i, j]:
+                    v.append(
+                        f"normalization: block ({i + 1},{j + 1}) sums to {float(sums[i, j])!r}")
+                if j > i and asymmetric[i, j]:
+                    v.append(f"asymmetry between blocks ({i + 1},{j + 1}) and ({j + 1},{i + 1})")
+        raise ValidationError(v)
 
     @property
     def c(self) -> int:
@@ -132,68 +157,12 @@ class PairedEdgeModel:
 
     @property
     def l(self) -> int:
-        return self.alphabet.size
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.joint[i, j]
+        return self.joint.shape[-1]
 
 
-@dataclass(frozen=True)
-class EdgeMarginal:
-    """Per community pair, the edge-value law of one side: shape (c, c, l)."""
-
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tensor", _readonly(self.tensor))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-VALID = ValidationReport(True, ())
-
-
-def validate_model(model: PairedEdgeModel, layout: CommunityLayout) -> ValidationReport:
-    """Check structural invariants; reports every violation found.
-
-    Checked: tensor shape vs layout, entries >= 0 and finite, per-(i,j)
-    normalization within NORMALIZATION_TOL, and (i,j)-symmetry of the blocks.
-    Each check runs over the whole tensor at once; a model that passes them
-    all gets VALID, and only a failing one is walked block by block (row-major
-    (i, j)) to word its violations.
-    """
-    c = layout.c
-    if model.c != c:
-        return ValidationReport(False, (f"community count: tensor has {model.c}, layout has {c}",))
-    flat = model.joint.reshape(c, c, -1)
-    negative = (flat < 0).any(axis=2)
-    nonfinite = ~np.isfinite(flat).all(axis=2)
-    sums = flat.sum(axis=2)
-    unnormalized = np.abs(sums - 1.0) > NORMALIZATION_TOL
-    asymmetric = (flat != flat.transpose(1, 0, 2)).any(axis=2)  # NaN != NaN
-    if not (negative | nonfinite | unnormalized | asymmetric).any():
-        return VALID
-    v: list[str] = []
-    for i in range(c):
-        for j in range(c):
-            if negative[i, j]:
-                v.append(f"negative entries in block for communities ({i + 1},{j + 1})")
-            if nonfinite[i, j]:
-                v.append(f"non-finite entries in block for communities ({i + 1},{j + 1})")
-            if unnormalized[i, j]:
-                v.append(
-                    f"normalization: block ({i + 1},{j + 1}) sums to {float(sums[i, j])!r}")
-            if j > i and asymmetric[i, j]:
-                v.append(f"asymmetry between blocks ({i + 1},{j + 1}) and ({j + 1},{i + 1})")
-    return ValidationReport(False, tuple(v))
-
-
-def marginal(model: PairedEdgeModel, side: str) -> EdgeMarginal:
-    """Per-community-pair edge law of one graph.
+def marginal(model: PairedEdgeModel, side: str) -> np.ndarray:
+    """Per community pair, the edge law of one graph: a read-only (c, c, l)
+    array.
 
     side is "first" (sum out the second coordinate) or "second".
     """
@@ -203,23 +172,20 @@ def marginal(model: PairedEdgeModel, side: str) -> EdgeMarginal:
         t = model.joint.sum(axis=2)
     else:
         raise ParameterError(f"side must be 'first' or 'second', got {side!r}")
-    return EdgeMarginal(t)
+    return _readonly(t)
 
 
 def product_coupling(model: PairedEdgeModel) -> PairedEdgeModel:
     """Same marginals, independent coupling: joint = marg1 (x) marg2 blockwise."""
-    m1 = marginal(model, "first").tensor
-    m2 = marginal(model, "second").tensor
-    prod = np.einsum("ijx,ijy->ijxy", m1, m2)
-    return PairedEdgeModel(alphabet=model.alphabet, joint=prod)
+    prod = np.einsum("ijx,ijy->ijxy", marginal(model, "first"), marginal(model, "second"))
+    return PairedEdgeModel(prod)
 
 
 # -- convenience constructors used by tests and the CLI ----------------------
 
 def single_community(joint: np.ndarray | Sequence) -> PairedEdgeModel:
     """Wrap a bare l x l joint distribution as a c=1 model."""
-    j = np.asarray(joint, dtype=float)
-    return PairedEdgeModel(alphabet=EdgeAlphabet(j.shape[0]), joint=j[None, None])
+    return PairedEdgeModel(np.asarray(joint, dtype=float)[None, None])
 
 
 def dsbs_joint(crossover: float, exact: bool = False):
@@ -256,8 +222,7 @@ def homogeneous_model(joint: np.ndarray | Sequence, sizes: Sequence[int]) -> tup
     j = np.asarray(joint, dtype=float)
     c = len(sizes)
     tensor = np.broadcast_to(j, (c, c) + j.shape).copy()
-    model = PairedEdgeModel(alphabet=EdgeAlphabet(j.shape[0]), joint=tensor)
-    return model, CommunityLayout.contiguous(sizes)
+    return PairedEdgeModel(tensor), CommunityLayout.contiguous(sizes)
 
 
 # -- JSON model files ---------------------------------------------------------
@@ -299,21 +264,17 @@ def model_from_document(raw: dict) -> tuple[PairedEdgeModel, CommunityLayout]:
         raise ValidationError(
             [f"l and communities must hold integers, got l={l!r}, communities={sizes!r}"])
     try:
-        alphabet = EdgeAlphabet(l)
+        _check_alphabet(l)
         layout = CommunityLayout.contiguous(sizes)
         joint = np.asarray(raw["joint"], dtype=float)
-        if joint.shape != (layout.c, layout.c, alphabet.size, alphabet.size):
+        if joint.shape != (layout.c, layout.c, l, l):
             raise ValidationError(
-                [f"joint shape {joint.shape} != expected "
-                 f"({layout.c},{layout.c},{alphabet.size},{alphabet.size})"])
-        model = PairedEdgeModel(alphabet=alphabet, joint=joint)
+                [f"joint shape {joint.shape} != expected ({layout.c},{layout.c},{l},{l})"])
+        model = PairedEdgeModel(joint)
     except ParameterError as e:
         raise ValidationError([str(e)]) from e
     except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError([f"l, communities and joint must hold numbers: {e}"]) from None
-    report = validate_model(model, layout)
-    if not report.ok:
-        raise ValidationError(report.violations)
     return model, layout
 
 

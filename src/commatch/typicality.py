@@ -23,14 +23,12 @@ through their labelings align slot by slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .permutation import Labeling
 
 DEFAULT_KAPPA = 2.0
 
@@ -42,16 +40,9 @@ def default_epsilon(n: int, kappa: float = DEFAULT_KAPPA) -> float:
     return kappa * math.log2(n) / n
 
 
-@dataclass(frozen=True)
-class JointTypeMatrix:
-    """Cell counts of a sequence pair; counts.sum() == n."""
-
-    counts: np.ndarray
-    n: int
-
-
-def joint_type(x: Sequence[int], y: Sequence[int], shape: tuple[int, int] | None = None) -> JointTypeMatrix:
-    """Count joint symbol occurrences of two aligned sequences.
+def joint_type(x: Sequence[int], y: Sequence[int], shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Count joint symbol occurrences of two aligned sequences: an int array
+    of the given shape, summing to the sequence length.
 
     shape fixes the alphabet sizes; when omitted it is inferred from the
     largest symbols present, which is usually only safe in throwaway code.
@@ -65,17 +56,17 @@ def joint_type(x: Sequence[int], y: Sequence[int], shape: tuple[int, int] | None
     lx, ly = shape
     if x.size and (x.min() < 0 or x.max() >= lx or y.min() < 0 or y.max() >= ly):
         raise ParameterError("symbol out of alphabet range")
-    counts = np.bincount(x * ly + y, minlength=lx * ly).reshape(lx, ly)
-    return JointTypeMatrix(counts=counts, n=int(x.size))
+    return np.bincount(x * ly + y, minlength=lx * ly).reshape(lx, ly)
 
 
 def is_jointly_typical(x: Sequence[int], y: Sequence[int], p: np.ndarray, eps: float) -> bool:
     """Entrywise |empirical/n - p| <= eps. Zero-length pairs are typical."""
     p = np.asarray(p, dtype=float)
-    t = joint_type(x, y, shape=p.shape)
-    if t.n == 0:
+    counts = joint_type(x, y, shape=p.shape)
+    n = counts.sum()
+    if n == 0:
         return True
-    return bool(np.all(np.abs(t.counts / t.n - p) <= eps))
+    return bool(np.all(np.abs(counts / n - p) <= eps))
 
 
 def count_windows(p: np.ndarray, eps: float, slots) -> tuple[np.ndarray, np.ndarray]:
@@ -133,26 +124,14 @@ def _labels_by_community(comm_of_label: Sequence[int], c: int) -> list[list[int]
     return groups
 
 
-@dataclass(frozen=True)
-class PairedBlockSequences:
-    """Aligned per-block value sequences of two graphs.
-
-    blocks maps (i, j) with i <= j to a pair of equal-length int arrays.
-    """
-
-    blocks: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-
-    def total_slots(self) -> int:
-        return sum(len(a) for a, _ in self.blocks.values())
-
-
 def paired_blocks(values1: np.ndarray,
                   comm1_of_label: Sequence[int],
                   values2: np.ndarray,
                   label_to_vertex2: Sequence[int],
                   comm2_of_vertex: Sequence[int],
-                  c: int) -> PairedBlockSequences:
-    """Build aligned block sequences for two symmetric value matrices.
+                  c: int) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Aligned block sequences of two symmetric value matrices: a dict from
+    (i, j) with i <= j to a pair of equal-length int arrays.
 
     values1 is indexed by labels directly; values2 by its own vertex ids, with
     label_to_vertex2 translating a hypothesized labeling. Each side's labels
@@ -180,31 +159,13 @@ def paired_blocks(values1: np.ndarray,
                 [values2[label_to_vertex2[a], label_to_vertex2[b]] for a, b in slots2],
                 dtype=np.int64)
             blocks[(i, j)] = (seq1, seq2)
-    return PairedBlockSequences(blocks=blocks)
+    return blocks
 
 
-def extract_paired_blocks(pair, sigma_hat: Labeling) -> PairedBlockSequences:
-    """Blocks of a correlated pair with the second graph read through sigma_hat.
-
-    The first graph keeps its generation labeling (identity); the second
-    graph's value at label pair (a, b) is its edge value between the vertices
-    sigma_hat^{-1}(a) and sigma_hat^{-1}(b).
-    """
-    layout = pair.layout
-    inv = sigma_hat.inverse().mapping
-    return paired_blocks(
-        values1=pair.g1.values,
-        comm1_of_label=layout.membership,
-        values2=pair.g2.values,
-        label_to_vertex2=inv,
-        comm2_of_vertex=layout.membership,
-        c=layout.c,
-    )
-
-
-def blocks_jointly_typical(blocks: PairedBlockSequences, joint: np.ndarray, eps: float) -> bool:
+def blocks_jointly_typical(blocks: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]],
+                           joint: np.ndarray, eps: float) -> bool:
     """All blocks typical w.r.t. their community-pair distribution."""
-    for (i, j), (a, b) in blocks.blocks.items():
+    for (i, j), (a, b) in blocks.items():
         if not is_jointly_typical(a, b, joint[i, j], eps):
             return False
     return True

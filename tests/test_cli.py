@@ -55,8 +55,26 @@ def test_generate_writes_deterministic_instance(tmp_path, model_c2):
     assert "tool_version" in doc and "config_hash" in doc
 
 
-def test_generate_requires_out(model_c2):
-    assert main(["generate", "--model", model_c2]) == 2
+def _exit_code(argv) -> int:
+    """The code main exits with where argparse refuses argv."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    return exit_info.value.code
+
+
+def test_generate_requires_out(model_c2, capsys):
+    assert _exit_code(["generate", "--model", model_c2]) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("generate", "instance file to write"),
+    ("campaign", "PREFIX.csv and PREFIX.summary.json"),
+])
+def test_out_help_says_what_is_written(capsys, command, text):
+    assert _exit_code([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert text in out and "default stdout" not in out
 
 
 def test_match_outputs_expected_document(tmp_path, model_c2):
@@ -494,9 +512,9 @@ def test_campaign_child_does_not_import_numpy_ma(tmp_path, model_c2):
     assert summary["accuracy_quantiles"] is not None
 
 
-def test_campaign_requires_out(model_c2):
-    assert main(["campaign", "--model", model_c2, "--n", "6",
-                 "--trials", "2"]) == 2
+def test_campaign_requires_out(model_c2, capsys):
+    assert _exit_code(["campaign", "--model", model_c2, "--n", "6", "--trials", "2"]) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_wsi_campaign_matches_csi_at_one_community(tmp_path, model_c1):

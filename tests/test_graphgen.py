@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from commatch.graphgen import (
 from commatch.matcher import ambiguity_set_csi
 from commatch.model import (
     CommunityLayout,
-    EdgeAlphabet,
     PairedEdgeModel,
     copy_joint,
     dsbs_joint,
@@ -28,36 +29,37 @@ MODEL, LAYOUT = homogeneous_model(dsbs_joint(0.2), (3, 2))
 def test_sampling_is_deterministic():
     a = sample_pair(MODEL, LAYOUT, seed=123)
     b = sample_pair(MODEL, LAYOUT, seed=123)
-    assert np.array_equal(a.g1.values, b.g1.values)
-    assert np.array_equal(a.g2.values, b.g2.values)
+    assert np.array_equal(a.g1, b.g1)
+    assert np.array_equal(a.g2, b.g2)
 
 
 def test_different_seeds_differ():
     a = sample_pair(MODEL, LAYOUT, seed=1)
     b = sample_pair(MODEL, LAYOUT, seed=2)
-    assert not (np.array_equal(a.g1.values, b.g1.values)
-                and np.array_equal(a.g2.values, b.g2.values))
+    assert not (np.array_equal(a.g1, b.g1)
+                and np.array_equal(a.g2, b.g2))
 
 
 def test_value_matrices_are_well_formed():
     pair = sample_pair(MODEL, LAYOUT, seed=7)
     for g in (pair.g1, pair.g2):
-        assert g.values.shape == (5, 5)
-        assert np.array_equal(g.values, g.values.T)
-        assert np.all(np.diag(g.values) == 0)
-        assert g.values.min() >= 0 and g.values.max() < MODEL.l
+        assert g.shape == (5, 5)
+        assert np.array_equal(g, g.T)
+        assert np.all(np.diag(g) == 0)
+        assert g.min() >= 0 and g.max() < MODEL.l
 
 
 def test_copy_coupling_produces_equal_graphs():
     model, lay = homogeneous_model(copy_joint(2), (4, 4))
     pair = sample_pair(model, lay, seed=3)
-    assert np.array_equal(pair.g1.values, pair.g2.values)
+    assert np.array_equal(pair.g1, pair.g2)
 
 
 def test_sampling_rejects_invalid_model():
-    bad = PairedEdgeModel(EdgeAlphabet(2), np.full((1, 1, 2, 2), 0.3))
+    # a model is checked when it is built, so an invalid one never reaches a draw
     with pytest.raises(ValidationError):
-        sample_pair(bad, CommunityLayout.contiguous((4,)), seed=0)
+        sample_pair(PairedEdgeModel(np.full((1, 1, 2, 2), 0.3)), CommunityLayout.contiguous((4,)),
+                    seed=0)
 
 
 def test_matched_slot_law_monte_carlo():
@@ -68,7 +70,7 @@ def test_matched_slot_law_monte_carlo():
     for seed in range(400):
         pair = sample_pair(model, lay, seed)
         iu = np.triu_indices(6, k=1)
-        xs, ys = pair.g1.values[iu], pair.g2.values[iu]
+        xs, ys = pair.g1[iu], pair.g2[iu]
         np.add.at(counts, (xs, ys), 1)
         slots += len(xs)
     emp = counts / slots
@@ -82,8 +84,8 @@ def test_independent_slots_are_uncorrelated():
     for seed in range(400):
         pair = sample_pair(model, lay, seed)
         iu = np.triu_indices(6, k=1)
-        xs.append(pair.g1.values[iu])
-        ys.append(pair.g2.values[iu])
+        xs.append(pair.g1[iu])
+        ys.append(pair.g2[iu])
     r = np.corrcoef(np.concatenate(xs), np.concatenate(ys))[0, 1]
     assert abs(r) < 0.03
 
@@ -123,9 +125,9 @@ def test_truth_relates_instance_to_pair():
     t = inst.sealed_truth().mapping  # anonymized vertex -> true label
     for v in range(5):
         for w in range(5):
-            assert inst.g2_values[v, w] == pair.g2.values[t[v], t[w]]
+            assert inst.g2_values[v, w] == pair.g2[t[v], t[w]]
         assert inst.comm2_of_vertex[v] == LAYOUT.membership[t[v]]
-    assert np.array_equal(inst.g1_values, pair.g1.values)
+    assert np.array_equal(inst.g1_values, pair.g1)
 
 
 def test_score_of_truth_is_one():
@@ -158,6 +160,22 @@ def test_instance_roundtrip(tmp_path, mode):
     assert back.comm2_of_vertex == inst.comm2_of_vertex
     assert back.sealed_truth() == inst.sealed_truth()
     assert np.array_equal(back.model.joint, inst.model.joint)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_instance_file_lists_upper_triangles_row_major(tmp_path, n):
+    # g1_ut and g2_ut against a loop over the strict upper triangle, row by row
+    model, lay = homogeneous_model(uniform_product_joint(3), (n,))
+    inst = anonymize(sample_pair(model, lay, seed=n), "csi", shuffle_seed=n)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    doc = json.loads(path.read_text())
+    for key, values in (("g1_ut", inst.g1_values), ("g2_ut", inst.g2_values)):
+        want = [int(values[a, b]) for a in range(n) for b in range(a + 1, n)]
+        assert doc[key] == want and all(type(v) is int for v in doc[key])
+    back = load_instance(path)
+    for got, want in ((back.g1_values, inst.g1_values), (back.g2_values, inst.g2_values)):
+        assert got.dtype == np.int64 and np.array_equal(got, want) and not got.flags.writeable
 
 
 def test_interleaved_instance_roundtrip_keeps_its_maps(tmp_path):
@@ -227,7 +245,7 @@ def _blockwise_model(c, l, rng):
     joint /= joint.sum(axis=(2, 3), keepdims=True)
     iu, ju = np.triu_indices(c, 1)
     joint[ju, iu] = joint[iu, ju]
-    return PairedEdgeModel(EdgeAlphabet(l), joint)
+    return PairedEdgeModel(joint)
 
 
 REFERENCE_LAYOUTS = {
@@ -251,7 +269,7 @@ def test_sample_pair_equals_per_slot_reference(name, l, seed):
     for model in models:
         pair = sample_pair(model, layout, seed)
         want1, want2 = _reference_values(model, layout, seed)
-        for got, want in ((pair.g1.values, want1), (pair.g2.values, want2)):
+        for got, want in ((pair.g1, want1), (pair.g2, want2)):
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
             assert not got.flags.writeable

@@ -27,7 +27,6 @@ from commatch.matcher import (
 )
 from commatch.model import (
     CommunityLayout,
-    EdgeAlphabet,
     PairedEdgeModel,
     copy_joint,
     dsbs_joint,
@@ -170,7 +169,7 @@ def test_csi_grid_keeps_float_boundary_counts():
         blocks = _blocks(inst, _labeling_at(grid, idx))
         typical = blocks_jointly_typical(blocks, inst.model.joint, 0.3)
         assert grid.mask[idx] == typical
-        counts = joint_type(*blocks.blocks[(0, 1)], shape=(2, 2)).counts
+        counts = joint_type(*blocks[(0, 1)], shape=(2, 2))
         on_boundary += typical and 5 in (counts[0, 0], counts[1, 1])
     assert on_boundary > 0
 
@@ -311,7 +310,7 @@ def test_dead_block_gives_pruned_empty_grid(monkeypatch):
     inst = _instance(seed=0, sizes=(3, 3, 3, 3), joint=dsbs_joint(0.1))
     dead = [(i, j) for i in range(4) for j in range(i, 4)
             if _margin_verdict(inst.model.joint[i, j], 0.3,
-                               *_blocks(inst, inst.sealed_truth()).blocks[(i, j)])[2][0]]
+                               *_blocks(inst, inst.sealed_truth())[(i, j)])[2][0]]
     assert dead
     _refuse_counting(monkeypatch)
     s = ambiguity_set_csi(inst, eps=0.3)
@@ -330,7 +329,7 @@ def _intra_survivors(inst, eps, i):
     keep = []
     for r in range(len(full.perms[i])):
         sigma = _labeling_at(full, tuple(r if ax == i else 0 for ax in range(inst.c)))
-        if is_jointly_typical(*_blocks(inst, sigma).blocks[(i, i)], inst.model.joint[i, i], eps):
+        if is_jointly_typical(*_blocks(inst, sigma)[(i, i)], inst.model.joint[i, i], eps):
             keep.append(r)
     return keep
 
@@ -395,7 +394,7 @@ def test_labelings_failing_an_intra_block_are_not_in_the_set():
         if r in kept:
             assert _truth_index(s.grid, sigma) == (kept.index(r), 0)
         else:
-            x, y = _blocks(inst, sigma).blocks[(0, 0)]
+            x, y = _blocks(inst, sigma)[(0, 0)]
             assert not is_jointly_typical(x, y, inst.model.joint[0, 0], 0.3)
             assert _truth_index(s.grid, sigma) is None
             assert sigma not in s
@@ -408,7 +407,7 @@ def _mixed_234(seed, membership):
     model, _ = homogeneous_model(dsbs_joint(0.1), (2, 3, 4))
     joint = model.joint.copy()
     joint[0, 0] = [[0.85, 0.0], [0.0, 0.15]]
-    model = PairedEdgeModel(alphabet=model.alphabet, joint=joint)
+    model = PairedEdgeModel(joint)
     pair = sample_pair(model, CommunityLayout(sizes=(2, 3, 4), membership=membership), seed)
     return anonymize(pair, "csi", shuffle_seed=seed)
 
@@ -542,7 +541,7 @@ def _community_model(sizes):
         q = 0.2 + 0.6 * (i + j) / max(1, 2 * c - 2)
         a = q * (1 - q) / 2
         joint[i, j] = [[(1 - q) ** 2 + a, q * (1 - q) - a], [q * (1 - q) - a, q * q + a]]
-    return PairedEdgeModel(alphabet=EdgeAlphabet(2), joint=joint), CommunityLayout.contiguous(sizes)
+    return PairedEdgeModel(joint), CommunityLayout.contiguous(sizes)
 
 
 def _wsi_instance(sizes, model, seed):
@@ -693,14 +692,18 @@ def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
 
 def test_wsi_verdicts_match_counting_sampled():
     # the verdict walk against the counting kernel over every labeling and
-    # assignment, at l = 2 and 3, with zero-slot blocks
+    # assignment, at l = 2 and 3, with zero-slot blocks and with four
+    # communities (180 assignments, 10 blocks)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(st.sampled_from([(1, 3), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (3, 2)]),
+    @hypothesis.given(st.sampled_from([(1, 3), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2), (3, 2),
+                                       (2, 2, 1, 1)]),
                       st.sampled_from(["community", "dsbs", "copy3"]),
                       st.integers(0, 40), st.integers(2, 16))
+    @hypothesis.example((2, 2, 1, 1), "community", 0, 11)  # eps 0.55: 8 of 720 labelings
+    @hypothesis.example((2, 2, 1, 1), "community", 1, 13)  # eps 0.65: 146 of 720
     def check(sizes, model, seed, e):
         inst = _wsi_instance(sizes, model, seed)
         got = ambiguity_set_wsi(inst, eps=e / 20).grid.mask

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from commatch.errors import ParameterError, ValidationError
+from commatch.graphgen import sample_pair
 from commatch.model import (
     CommunityLayout,
-    EdgeAlphabet,
     PairedEdgeModel,
-    VALID,
-    ValidationReport,
     copy_joint,
     dsbs_joint,
     homogeneous_model,
@@ -19,7 +17,6 @@ from commatch.model import (
     save_model,
     single_community,
     uniform_product_joint,
-    validate_model,
 )
 
 
@@ -60,34 +57,34 @@ def test_scaled_sizes_rejects_too_small():
         CommunityLayout.contiguous((2, 2)).scaled_sizes(1)
 
 
+def _violations(joint):
+    """The violations a model built from joint raises."""
+    with pytest.raises(ValidationError) as e:
+        PairedEdgeModel(joint)
+    return e.value.violations
+
+
 def test_validate_ok():
     model, lay = homogeneous_model(dsbs_joint(0.1), (3, 2))
-    rep = validate_model(model, lay)
-    assert rep.ok and rep.violations == ()
+    assert PairedEdgeModel(model.joint).c == lay.c
 
 
 def test_validate_catches_normalization():
     bad = np.full((1, 1, 2, 2), 0.3)
-    rep = validate_model(PairedEdgeModel(EdgeAlphabet(2), bad), CommunityLayout.contiguous((4,)))
-    assert not rep.ok
-    assert any("normalization" in v for v in rep.violations)
+    assert any("normalization" in v for v in _violations(bad))
 
 
 def test_validate_catches_negative():
     blk = np.array([[1.5, -0.5], [0.0, 0.0]])
     bad = blk[None, None]
-    rep = validate_model(PairedEdgeModel(EdgeAlphabet(2), bad), CommunityLayout.contiguous((4,)))
-    assert not rep.ok
-    assert any("negative" in v for v in rep.violations)
+    assert any("negative" in v for v in _violations(bad))
 
 
 def test_validate_catches_asymmetry():
     t = np.zeros((2, 2, 2, 2))
     t[:] = uniform_product_joint(2)
     t[0, 1] = np.array([[0.5, 0.0], [0.0, 0.5]])  # differs from t[1, 0]
-    rep = validate_model(PairedEdgeModel(EdgeAlphabet(2), t), CommunityLayout.contiguous((2, 2)))
-    assert not rep.ok
-    assert any("asymmetry" in v for v in rep.violations)
+    assert any("asymmetry" in v for v in _violations(t))
 
 
 def test_validate_reports_every_violation_in_block_order():
@@ -99,8 +96,7 @@ def test_validate_reports_every_violation_in_block_order():
     j[0, 2] = [[0.5, 0.25], [0.25, 0.5]]       # (1,3): sums to 1.5, differs from (3,1)
     j[2, 1] = [[0.6, 0.1], [0.5, -0.2]]        # (3,2): negative, normalized, differs from (2,3)
     j[1, 1] *= 1 + 1e-9                        # (2,2): just outside the tolerance
-    rep = validate_model(PairedEdgeModel(EdgeAlphabet(2), j), CommunityLayout.contiguous((2, 2, 2)))
-    assert rep == ValidationReport(False, (
+    assert _violations(j) == (
         "negative entries in block for communities (1,1)",
         "normalization: block (1,1) sums to 0.5",
         "normalization: block (1,3) sums to 1.5",
@@ -108,14 +104,24 @@ def test_validate_reports_every_violation_in_block_order():
         "normalization: block (2,2) sums to 1.000000001",
         "asymmetry between blocks (2,3) and (3,2)",
         "negative entries in block for communities (3,2)",
-    ))
+    )
 
 
-def test_validate_returns_the_shared_all_clear_report():
+@pytest.mark.parametrize("joint, violation", [
+    (np.full((1, 1, 1, 1), 1.0), "edge alphabet needs size >= 2, got 1"),
+    (np.full((2, 2, 2), 0.25), "joint tensor must be 4-d, got 3-d"),
+    (np.full((1, 2, 2, 2), 0.25), "joint tensor shape (1, 2, 2, 2) inconsistent"),
+    (np.full((1, 1, 2, 3), 1 / 6), "joint tensor shape (1, 1, 2, 3) inconsistent"),
+], ids=["alphabet", "ndim", "communities", "alphabets"])
+def test_validate_catches_bad_shape(joint, violation):
+    assert _violations(joint) == (violation,)
+
+
+def test_valid_models_build_without_violations():
     for joint, sizes in ((dsbs_joint(0.1), (3, 2)), (copy_joint(3), (1, 1, 4)), (copy_joint(2), (5,))):
         model, lay = homogeneous_model(joint, sizes)
-        rep = validate_model(model, lay)
-        assert rep == ValidationReport(True, ()) and rep is VALID
+        assert (model.c, model.l) == (lay.c, joint.shape[0])
+        assert np.array_equal(PairedEdgeModel(model.joint).joint, model.joint)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
@@ -123,16 +129,17 @@ def test_validate_catches_non_finite_entries(value):
     # nan passes both the sign and the sum test, so it needs its own check
     j = np.broadcast_to(dsbs_joint(0.2), (2, 2, 2, 2)).copy()
     j[1, 1, 0, 1] = value
-    rep = validate_model(PairedEdgeModel(EdgeAlphabet(2), j), CommunityLayout.contiguous((2, 2)))
-    assert not rep.ok
-    assert "non-finite entries in block for communities (2,2)" in rep.violations
-    assert all("(1," not in v for v in rep.violations)
+    violations = _violations(j)
+    assert "non-finite entries in block for communities (2,2)" in violations
+    assert all("(1," not in v for v in violations)
 
 
 def test_validate_catches_community_count_mismatch():
+    # a model is checked against a layout only where both meet: sample_pair
     model = single_community(copy_joint(2))
-    rep = validate_model(model, CommunityLayout.contiguous((2, 2)))
-    assert not rep.ok
+    with pytest.raises(ValidationError) as e:
+        sample_pair(model, CommunityLayout.contiguous((2, 2)), seed=0)
+    assert e.value.violations == ("community count: tensor has 1, layout has 2",)
 
 
 def test_dsbs_float():
@@ -165,8 +172,8 @@ def test_copy_and_uniform_joints():
 def test_marginals_of_dsbs_are_uniform():
     model = single_community(dsbs_joint(0.2))
     for side in ("first", "second"):
-        t = marginal(model, side).tensor
-        assert t.shape == (1, 1, 2)
+        t = marginal(model, side)
+        assert t.shape == (1, 1, 2) and not t.flags.writeable
         assert np.allclose(t[0, 0], [0.5, 0.5])
     with pytest.raises(ParameterError):
         marginal(model, "third")
@@ -181,7 +188,7 @@ def test_product_coupling_keeps_marginals():
     model, _ = homogeneous_model(dsbs_joint(0.3), (2, 2))
     pc = product_coupling(model)
     for side in ("first", "second"):
-        assert np.allclose(marginal(pc, side).tensor, marginal(model, side).tensor)
+        assert np.allclose(marginal(pc, side), marginal(model, side))
 
 
 def test_homogeneous_model_tiles_blocks():

@@ -13,7 +13,6 @@ from commatch.typicality import (
     blocks_jointly_typical,
     count_windows,
     default_epsilon,
-    extract_paired_blocks,
     is_jointly_typical,
     joint_type,
     paired_blocks,
@@ -43,14 +42,14 @@ def test_default_epsilon_needs_two_samples():
 
 def test_joint_type_counts():
     jt = joint_type([0, 1, 1, 0], [1, 1, 0, 0])
-    assert jt.counts.tolist() == [[1, 1], [1, 1]]
-    assert jt.n == 4
+    assert jt.tolist() == [[1, 1], [1, 1]]
+    assert jt.sum() == 4
 
 
 def test_joint_type_explicit_shape():
     jt = joint_type([0, 0], [1, 1], shape=(2, 3))
-    assert jt.counts.shape == (2, 3)
-    assert jt.counts[0, 1] == 2 and jt.counts.sum() == 2
+    assert jt.shape == (2, 3)
+    assert jt[0, 1] == 2 and jt.sum() == 2
 
 
 def test_joint_type_length_mismatch():
@@ -155,22 +154,29 @@ def _pair(seed, sizes=(3, 3), joint=None):
     return sample_pair(model, lay, seed)
 
 
+def _pair_blocks(pair, sigma):
+    """The pair's blocks with the second graph read through sigma: label pair
+    (a, b) meets the second graph's value between sigma^-1(a) and sigma^-1(b)."""
+    m = pair.layout.membership
+    return paired_blocks(pair.g1, m, pair.g2, sigma.inverse().mapping, m, pair.layout.c)
+
+
 def test_paired_blocks_shapes():
     pair = _pair(seed=3)
-    blocks = extract_paired_blocks(pair, Permutation.identity(6))
+    blocks = _pair_blocks(pair, Permutation.identity(6))
     # (1,1), (1,2), (2,2) with sizes (3,3): 3, 9, 3 slots
-    assert {k: len(v[0]) for k, v in blocks.blocks.items()} == {
+    assert {k: len(v[0]) for k, v in blocks.items()} == {
         (0, 0): 3, (0, 1): 9, (1, 1): 3}
-    for x, y in blocks.blocks.values():
+    for x, y in blocks.values():
         assert len(x) == len(y)
-    assert blocks.total_slots() == 15
+    assert sum(len(x) for x, _ in blocks.values()) == 15
 
 
 def test_truth_blocks_match_under_copy_coupling():
     # deterministic coupling: identity-aligned blocks are identical sequences
     pair = _pair(seed=11)
-    blocks = extract_paired_blocks(pair, Permutation.identity(6))
-    for x, y in blocks.blocks.values():
+    blocks = _pair_blocks(pair, Permutation.identity(6))
+    for x, y in blocks.values():
         assert np.array_equal(x, y)
     assert blocks_jointly_typical(blocks, pair.model.joint, 1.0)
 
@@ -180,11 +186,11 @@ def test_blocks_jointly_typical_agrees_with_per_block_check():
     for guess_seed in range(4):
         rng = np.random.default_rng(guess_seed)
         guess = Permutation(tuple(int(v) for v in rng.permutation(6)))
-        blocks = extract_paired_blocks(pair, guess)
+        blocks = _pair_blocks(pair, guess)
         for eps in (0.1, 0.3, 0.6):
             direct = all(
                 is_jointly_typical(x, y, dsbs_joint(0.2), eps)
-                for x, y in blocks.blocks.values())
+                for x, y in blocks.values())
             assert blocks_jointly_typical(blocks, pair.model.joint, eps) == direct
 
 
@@ -204,8 +210,8 @@ def test_paired_blocks_on_instance_matches_pair_view():
     via_inst = paired_blocks(inst.g1_values, inst.comm1_of_label,
                              inst.g2_values, truth.inverse().mapping,
                              inst.comm2_of_vertex, inst.c)
-    via_pair = extract_paired_blocks(pair, Permutation.identity(6))
-    assert via_inst.blocks.keys() == via_pair.blocks.keys()
-    for key in via_inst.blocks:
-        assert np.array_equal(via_inst.blocks[key][0], via_pair.blocks[key][0])
-        assert np.array_equal(via_inst.blocks[key][1], via_pair.blocks[key][1])
+    via_pair = _pair_blocks(pair, Permutation.identity(6))
+    assert via_inst.keys() == via_pair.keys()
+    for key in via_inst:
+        assert np.array_equal(via_inst[key][0], via_pair[key][0])
+        assert np.array_equal(via_inst[key][1], via_pair[key][1])
