@@ -545,8 +545,9 @@ def _wsi_pairs(inst: MatchingInstance, asg: np.ndarray, slots: np.ndarray,
     count windows (slots, lo and hi per block). Few totals are distinct, and
     the fold runs once over every (block, first-graph totals) x (block,
     second-graph totals) that occurs; the verdicts it gives across two
-    different blocks are never read. A pair's worst block is then taken one
-    block at a time into one (|A|, |A|) array.
+    different blocks are never read. Each pair's worst block is folded in
+    one block at a time, so memory stays at (|A|, |A|) whatever the block
+    count.
     """
     c, l = inst.c, inst.model.l
     na, nb = len(asg), len(slots)
@@ -637,7 +638,10 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     is left; labelings that met no passing pair but some undecided one are
     counted, and the rest met dead pairs only. So when every pair is dead
     the walk meets nothing and counts nothing. When no pair passes but some
-    is undecided every labeling is counted instead of walking.
+    is undecided every labeling is counted instead of walking: the walk
+    would drop no labeling, so it would take |A| steps over all n! rows and
+    still count the labelings that met an undecided pair; counting them all
+    at once skips those steps.
     """
     asg = _assignments(tuple(inst.sizes))
     iu, ju, _ = _block_index(inst.c)

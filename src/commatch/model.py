@@ -90,7 +90,9 @@ class CommunityLayout:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """A read-only float copy: a model checked once when built stays valid,
+    whatever the caller later does with the array it passed."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -221,8 +223,7 @@ def homogeneous_model(joint: np.ndarray | Sequence, sizes: Sequence[int]) -> tup
     """Model using the same l x l joint for every community pair."""
     j = np.asarray(joint, dtype=float)
     c = len(sizes)
-    tensor = np.broadcast_to(j, (c, c) + j.shape).copy()
-    return PairedEdgeModel(tensor), CommunityLayout.contiguous(sizes)
+    return PairedEdgeModel(np.broadcast_to(j, (c, c) + j.shape)), CommunityLayout.contiguous(sizes)
 
 
 # -- JSON model files ---------------------------------------------------------

@@ -241,3 +241,12 @@ def test_joint_tensor_is_readonly():
     model = single_community(copy_joint(2))
     with pytest.raises(ValueError):
         model.joint[0, 0, 0, 0] = 0.5
+
+
+def test_model_owns_its_tensor():
+    # the caller's array stays writable, and writing to it cannot make the
+    # validated model invalid
+    j = np.broadcast_to(dsbs_joint(0.1), (2, 2, 2, 2)).copy()
+    model = PairedEdgeModel(j)
+    j[0, 0, 0, 0] = 0.5
+    assert model.joint[0, 0, 0, 0] == 0.45 and j.flags.writeable
