@@ -7,7 +7,8 @@ derive their seeds from (master seed, trial index), so results do not depend
 on execution order.
 
 Exit codes: 0 success, 1 runtime failure (empty ambiguity set, failed verify
-checks), 2 validation/parameter errors, 3 size-guard refusals.
+checks), 2 validation/parameter and argument errors, 3 size-guard refusals;
+`main` returns them, `--help` (0) included, and raises none as SystemExit.
 """
 
 from __future__ import annotations
@@ -470,7 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse: 2 for usage errors, 0 after --help
+        return e.code
     try:
         return args.func(args)
     except ValidationError as e:

@@ -37,12 +37,13 @@ it, and every label pair falls in the same block on both sides, so the
 block's symbol totals are fixed by m1 in the first graph and by m2 in the
 second for every labeling that meets the pair (m1, m2). The same fold, run
 once over the pairs of swept assignments, marks each pair passing, dead or
-undecided. A walk over m1 keeps every labeling that meets a passing pair and
-drops every one that meets dead pairs only; only the rest are counted, so
-when every pair is dead the set is empty and nothing is counted. When no
-pair passes but some is undecided, every labeling is counted without the
-walk. Counts come from one matrix product of the labelings' slot values
-against a 0/1 table of slots per (assignment, block, first-graph symbol).
+undecided. A walk over the m1 with a passing pair keeps every labeling that
+meets one; if some pair is undecided, every labeling left is counted, and
+otherwise the labelings left met dead pairs only and are out. So when no pair
+passes the walk takes no step, and when every pair is dead the set is empty
+and nothing is counted. Counts come from one matrix product of the labelings'
+slot values against a 0/1 table of slots per (assignment, block, first-graph
+symbol).
 
 Every window comes from one memoized table, `typicality.count_windows`, which
 turns the float expression of `is_jointly_typical` into integer windows of
@@ -532,10 +533,10 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wsi_pairs(inst: MatchingInstance, asg: np.ndarray, slots: np.ndarray,
-               lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Margin verdicts of the assignment pairs (m1, m2), (|A|, |A|) each:
-    whether every labeling that meets the pair passes, and whether the pair
-    is left to be counted; a pair that is neither is dead.
+               lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Margin verdicts of the assignment pairs (m1, m2): an (|A|, |A|) bool
+    of whether every labeling that meets the pair passes, and whether any
+    pair is undecided, neither passing nor dead.
 
     A labeling meets (m1, m2) when it maps each label's community under m1
     onto its vertex's community under m2. It keeps every block's slots in the
@@ -565,7 +566,7 @@ def _wsi_pairs(inst: MatchingInstance, asg: np.ndarray, slots: np.ndarray,
     verdict = np.full((na, na), 2, dtype=np.int8)  # (m1, m2)
     for k in range(nb):
         np.minimum(verdict, state[np.ix_(r_of[:, k], c_of[:, k])], out=verdict)
-    return verdict == 2, verdict == 1
+    return verdict == 2, bool((verdict == 1).any())
 
 
 # Float32 entries of one (rows, columns) count array in _wsi_count.
@@ -633,15 +634,11 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     Labeling r under m1 meets the pair (m1, m2) with m2[perms[r, u]] = m1[u].
     m2 is found by its code sum_v m2[v] c^(n-1-v), which equals
     sum_u m1[u] c^(n-1-perms[r, u]) and orders assignments lexicographically,
-    as they are listed. The walk takes one m1 at a time over the labelings
-    still open, keeps those it meets on a passing pair and stops when none
-    is left; labelings that met no passing pair but some undecided one are
-    counted, and the rest met dead pairs only. So when every pair is dead
-    the walk meets nothing and counts nothing. When no pair passes but some
-    is undecided every labeling is counted instead of walking: the walk
-    would drop no labeling, so it would take |A| steps over all n! rows and
-    still count the labelings that met an undecided pair; counting them all
-    at once skips those steps.
+    as they are listed. The walk visits only the m1 with a passing pair, one
+    at a time over the labelings still left, keeps those it meets on a
+    passing pair and stops when none is left. If some pair is undecided,
+    every labeling left is counted; otherwise the labelings left met dead
+    pairs only and are out.
     """
     asg = _assignments(tuple(inst.sizes))
     iu, ju, _ = _block_index(inst.c)
@@ -650,27 +647,21 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     lo, hi = count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None])
     passes, undecided = _wsi_pairs(inst, asg, slots, lo, hi)
     perms = _perm_table(inst.n)
-    if not passes.any() and undecided.any():
-        return _wsi_count(inst, asg, np.arange(len(perms)), lo, hi)
     # codes are below c^n < 2^53 for every n whose labeling table fits in
     # memory, so float64 products are exact
     weights = float(inst.c) ** np.arange(inst.n - 1, -1, -1)
     codes = asg @ weights
     ok = np.zeros(len(perms), dtype=bool)
-    counted = np.zeros(len(perms), dtype=bool)
     left = np.arange(len(perms))
     left_weights = weights[perms]  # c^(n-1-perms[r, u]) of the labelings left
-    for a in np.flatnonzero(passes.any(axis=1) | undecided.any(axis=1)).tolist():
-        m2 = np.searchsorted(codes, left_weights @ asg[a])
-        hit = passes[a, m2]
+    for a in np.flatnonzero(passes.any(axis=1)).tolist():
+        hit = passes[a, np.searchsorted(codes, left_weights @ asg[a])]
         ok[left[hit]] = True
-        counted[left[undecided[a, m2]]] = True
         left, left_weights = left[~hit], left_weights[~hit]
         if not left.size:
             break
-    todo = np.flatnonzero(counted & ~ok)
-    if todo.size:
-        ok[todo] = _wsi_count(inst, asg, todo, lo, hi)
+    if undecided and left.size:
+        ok[left] = _wsi_count(inst, asg, left, lo, hi)
     return ok
 
 

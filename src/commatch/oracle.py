@@ -186,42 +186,21 @@ def exact_typicality_probability(joint,
         for tc, c in zip(map(tuple, full.tolist()), hist[hit].tolist()):
             type_hits[tc] = type_hits.get(tc, 0) + c
 
+    # Each type's weight is prod_a p_a^e_a, over integer numerators when the
+    # joint is rational and over floats otherwise.
     if rational:
-        denom = 1
-        for p in frac:
-            denom = denom * p.denominator // math.gcd(denom, p.denominator)
-        nums = [int(p * denom) for p in frac]
-        total = 0
-        for tc, c in type_hits.items():
-            w = 1
-            for a, e in zip(nums, tc):
-                if e:
-                    w *= a ** e
-            total += w * c
-        return ExactProbability(
-            value=Fraction(total, denom ** n),
-            exact=True,
-            outcomes=total_outcomes,
-            typical_outcomes=typical_outcomes,
-            error_bound=0.0,
-        )
-
-    fl = [float(p) for p in flat]
-    terms = []
-    for tc, c in type_hits.items():
-        w = 1.0
-        for a, e in zip(fl, tc):
-            if e:
-                w *= a ** e
-        terms.append(w * c)
-    value = math.fsum(terms)
-    err = len(terms) * abs(value) * 2.0 ** -50
+        scale = math.lcm(*(p.denominator for p in frac))
+        base = [int(p * scale) for p in frac]
+    else:
+        base = [float(p) for p in flat]
+    terms = [math.prod(a ** e for a, e in zip(base, tc) if e) * c for tc, c in type_hits.items()]
+    value = Fraction(sum(terms), scale ** n) if rational else math.fsum(terms)
     return ExactProbability(
         value=value,
-        exact=False,
+        exact=rational,
         outcomes=total_outcomes,
         typical_outcomes=typical_outcomes,
-        error_bound=err,
+        error_bound=0.0 if rational else len(terms) * abs(value) * 2.0 ** -50,
     )
 
 

@@ -558,13 +558,17 @@ def _all_assignments(inst):
     return np.asarray(sorted(set(itertools.permutations(labels))))
 
 
-def _counted_mask(inst, eps):
-    # every labeling through the counting kernel, no margin verdicts, with the
-    # windows of each block's slot count under the declared sizes
+def _wsi_windows(inst, eps):
+    # each block's slot count under the declared sizes and its count windows
     iu, ju = np.triu_indices(inst.c)
     k = np.asarray(inst.sizes)
     slots = np.where(iu == ju, k[iu] * (k[iu] - 1) // 2, k[iu] * k[ju])
-    lo, hi = count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None])
+    return (slots, *count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None]))
+
+
+def _counted_mask(inst, eps):
+    # every labeling through the counting kernel, no margin verdicts
+    _, lo, hi = _wsi_windows(inst, eps)
     return matcher._wsi_count(inst, _all_assignments(inst), np.arange(math.factorial(inst.n)),
                               lo, hi)
 
@@ -582,6 +586,7 @@ SMALL_EPS = (0.2, 0.3, 0.45, None)  # None: the default schedule
     ((3, 3), "community", 1, (0.3, 0.45, None)),
     ((3, 3), "dsbs", 2, (0.3, 0.45, None)),
     ((2, 2, 2), "community", 0, (None,)),
+    ((2, 1, 1, 1), "community", 0, (0.55, 0.65, None)),  # four communities, 10 blocks
 ])
 def test_wsi_set_matches_scalar_loop(monkeypatch, sizes, model, seed, eps_list):
     inst = _wsi_instance(sizes, model, seed)
@@ -673,10 +678,21 @@ def test_every_pair_dead_gives_empty_set_without_counting(monkeypatch, sizes):
 
 
 def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
-    # (3,3) community model at eps 0.45: some labelings meet a passing pair,
-    # some meet only undecided and dead pairs and are counted (some of those
-    # pass), and the rest meet dead pairs only
+    # (3,3) community model at eps 0.45: some labelings meet a passing pair
+    # and pass on the walk; some pair is undecided, so every other labeling
+    # is counted (some of those pass, some do not)
     inst = _wsi_instance((3, 3), "community", 1)
+    asg = _all_assignments(inst)
+    passes, undecided = matcher._wsi_pairs(inst, asg, *_wsi_windows(inst, 0.45))
+    assert undecided
+    # labeling r meets (m1, m2) with m2[ltv[u]] = m1[u]
+    index = {tuple(m): k for k, m in enumerate(asg.tolist())}
+    walked = np.zeros(math.factorial(inst.n), dtype=bool)
+    for r, ltv in enumerate(itertools.permutations(range(inst.n))):
+        for a, m1 in enumerate(asg):
+            m2 = np.empty_like(m1)
+            m2[list(ltv)] = m1
+            walked[r] |= passes[a, index[tuple(m2.tolist())]]
     calls = _recording_wsi_count(monkeypatch)
     s = ambiguity_set_wsi(inst, eps=0.45)
     counted = [r for rows in calls for r in rows]
@@ -684,9 +700,10 @@ def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
     was_counted = np.zeros_like(mask)
     was_counted[counted] = True
     assert len(counted) == was_counted.sum()  # each labeling counted once
-    assert (mask & ~was_counted).any()  # passed on verdicts
+    assert walked.any() and mask[walked].all()
+    assert not (walked & was_counted).any()  # passed on the walk: never counted
+    assert (walked | was_counted).all()  # left after the walk: counted
     assert (mask & was_counted).any() and (~mask & was_counted).any()
-    assert (~mask & ~was_counted).any()  # dead on verdicts
     assert {p.mapping for p in s} == _brute_wsi(inst, [0.45])[0.45]
 
 
