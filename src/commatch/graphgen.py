@@ -6,12 +6,16 @@ stream keyed by (seed, block id); within a block, slot k consumes the k-th
 variate of that stream. Sampling is therefore reproducible regardless of
 evaluation order or thread count.
 
-How `sample_pair` meets it: a slot plan, built once per layout and shared
+How `sample_pairs` meets it: a slot plan, built once per layout and shared
 read-only, lists every block's slots in the canonical `block_slots` order
-as flat matrix indices, with each slot's block. Each call owns one Philox
-bit generator and re-keys it to (seed, block id), counter and buffer reset,
-before drawing that block's variates into one array; the CDF inversion of
-all slots is one batched comparison, and each graph is filled by one scatter.
+as flat matrix indices, with each slot's block. Every stream (a block's
+variates, `anonymize`'s shuffle, `matcher.select_labeling`'s pick) re-keys
+the calling thread's one Philox generator to its key, counter and buffer
+reset, which is the state of a fresh Philox(key=...). `sample_pairs` draws
+the pairs of many seeds together: each (seed, block) stream fills its row of
+one variate array, the CDF inversion of every slot of every seed is one
+batched comparison, and each graph is filled by one scatter. `sample_pair`
+is its one-seed case.
 
 Generation works directly in label space: the first graph's labeling is the
 identity, so label a belongs to community layout.membership[a]. `anonymize`
@@ -23,6 +27,7 @@ fields; scoring goes through `MatchingInstance.score`), not cryptography.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -39,22 +44,27 @@ _SHUFFLE_TAG = 0x5487
 _MASK64 = (1 << 64) - 1
 
 
-def _philox_key(seed: int, tag: int) -> np.ndarray:
-    return np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
+_local = threading.local()
 
 
-def _philox(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, tag)))
-
-
-def _rekey(gen: np.random.Generator, seed: int, tag: int) -> None:
-    """Put gen's Philox in the state of a fresh Philox(key=(seed, tag))."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(seed, tag)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
+def _stream(seed: int, tag: int) -> np.random.Generator:
+    """The calling thread's one Philox generator, re-keyed to (seed, tag)
+    with counter and buffer reset: the state of a fresh
+    Philox(key=(seed, tag)), without the OS entropy its constructor draws
+    and discards. The next call on the thread re-keys it again."""
+    try:
+        gen, state, key = _local.stream
+    except AttributeError:
+        key = np.zeros(2, dtype=np.uint64)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        gen = np.random.Generator(np.random.Philox(key=key))
+        _local.stream = gen, state, key
+    key[0], key[1] = seed & _MASK64, tag & _MASK64
+    gen.bit_generator.state = state  # copied in, so state stays as built
+    return gen
 
 
 class _SlotPlan(NamedTuple):
@@ -99,36 +109,44 @@ class CorrelatedPair:
     seed: int
 
 
-def sample_pair(model: PairedEdgeModel, layout: CommunityLayout, seed: int) -> CorrelatedPair:
-    """Draw a correlated pair; matched slots follow the model's joint law.
+def sample_pairs(model: PairedEdgeModel, layout: CommunityLayout,
+                 seeds: Sequence[int]) -> list[CorrelatedPair]:
+    """Draw one correlated pair per seed; matched slots follow the model's
+    joint law.
 
     Slot (a, b) with communities (i, j) draws one uniform variate from the
     (seed, block id) stream and inverts the CDF of joint[i, j]. Both graphs'
     values at that slot come from the same draw, which is what makes the two
-    graphs correlated under the true (identity) alignment. The model is valid
-    once built; only its community count is checked against the layout.
+    graphs correlated under the true (identity) alignment. Pair k is the same,
+    bit for bit, whatever seeds come with seeds[k]; its read-only matrices are
+    views of one array per call. The model is valid once built; only its
+    community count is checked against the layout.
     """
     n, c, l = layout.n, layout.c, model.l
     if model.c != c:
         raise ValidationError([f"community count: tensor has {model.c}, layout has {c}"])
     plan = _slot_plan(layout)
-    u = np.empty(len(plan.block_of))
-    gen = _philox(seed, 0)
-    start = 0
-    for tag, count in plan.blocks:
-        _rekey(gen, seed, tag)
-        gen.random(out=u[start:start + count])
-        start += count
+    u = np.empty((len(seeds), len(plan.block_of)))
+    for k, seed in enumerate(seeds):
+        start = 0
+        for tag, count in plan.blocks:
+            _stream(seed, tag).random(out=u[k, start:start + count])
+            start += count
     # searchsorted(cdf, u, side="right") is the count of cdf entries <= u
     cdf = np.cumsum(model.joint.reshape(c * c, l * l), axis=1)[plan.block_of]
-    idx = np.minimum((cdf <= u[:, None]).sum(axis=1), l * l - 1)
-    v1 = np.zeros((n, n), dtype=np.int64)
-    v2 = np.zeros((n, n), dtype=np.int64)
-    for v, x in ((v1, idx // l), (v2, idx % l)):
-        np.put(v, plan.ab, x)
-        np.put(v, plan.ba, x)
-        v.setflags(write=False)
-    return CorrelatedPair(g1=v1, g2=v2, model=model, layout=layout, seed=seed)
+    idx = np.minimum((cdf <= u[..., None]).sum(axis=-1), l * l - 1)
+    values = np.zeros((2, len(seeds), n, n), dtype=np.int64)
+    flat = values.reshape(2, len(seeds), n * n)
+    flat[0][:, plan.ab] = flat[0][:, plan.ba] = idx // l
+    flat[1][:, plan.ab] = flat[1][:, plan.ba] = idx % l
+    values.setflags(write=False)
+    return [CorrelatedPair(g1=values[0, k], g2=values[1, k], model=model, layout=layout, seed=seed)
+            for k, seed in enumerate(seeds)]
+
+
+def sample_pair(model: PairedEdgeModel, layout: CommunityLayout, seed: int) -> CorrelatedPair:
+    """Draw one correlated pair: `sample_pairs` for one seed."""
+    return sample_pairs(model, layout, [seed])[0]
 
 
 @dataclass(frozen=True)
@@ -173,25 +191,24 @@ def anonymize(pair: CorrelatedPair, mode: str, shuffle_seed: int) -> MatchingIns
     """
     if mode not in ("csi", "wsi"):
         raise ParameterError(f"mode must be 'csi' or 'wsi', got {mode!r}")
-    n = pair.layout.n
-    gen = _philox(shuffle_seed, _SHUFFLE_TAG)
-    tau = tuple(int(x) for x in gen.permutation(n))  # anon id -> true label
-    b = pair.g2[np.ix_(tau, tau)].copy()
+    perm = _stream(shuffle_seed, _SHUFFLE_TAG).permutation(pair.layout.n)
+    tau = perm.tolist()  # anon id -> true label
+    b = pair.g2[perm[:, None], perm]
     b.setflags(write=False)
     membership = pair.layout.membership
     csi = mode == "csi"
     return MatchingInstance(
-        n=n,
+        n=pair.layout.n,
         sizes=pair.layout.sizes,
         model=pair.model,
         mode=mode,
         g1_values=pair.g1,
         g2_values=b,
         comm1_of_label=membership if csi else None,
-        comm2_of_vertex=tuple(membership[t] for t in tau) if csi else None,
+        comm2_of_vertex=tuple([membership[t] for t in tau]) if csi else None,
         seed=pair.seed,
         shuffle_seed=shuffle_seed,
-        _truth=Labeling(tau),
+        _truth=Labeling(tuple(tau)),
     )
 
 

@@ -68,12 +68,12 @@ import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyAmbiguitySetError, ParameterError, SizeGuardError
-from .graphgen import MatchingInstance, _philox
+from .errors import CommatchError, EmptyAmbiguitySetError, ParameterError, SizeGuardError
+from .graphgen import MatchingInstance, _stream
 from .permutation import Labeling, Permutation
 from .typicality import count_windows, default_epsilon
 
@@ -227,15 +227,25 @@ def _block_index(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _block_totals(values: np.ndarray, comm: np.ndarray, c: int, l: int) -> np.ndarray:
-    """Symbol totals (..., block, symbol) of a graph's upper-triangle slots,
-    split into blocks by each community map in comm (..., n); one bincount."""
-    s1, s2 = _pair_slots(len(values))
-    block_of = _block_index(c)[2]
-    lead = comm.shape[:-1]
+    """Symbol totals (..., block, symbol) of graphs' upper-triangle slots
+    split into blocks by community maps, for values (..., n, n) and comm
+    (..., n) broadcast against each other; one bincount."""
+    s1, s2 = _pair_slots(values.shape[-1])
+    symbol = values[..., s1, s2]
+    block = _block_index(c)[2][comm[..., s1], comm[..., s2]]
+    lead = np.broadcast_shapes(symbol.shape[:-1], block.shape[:-1])
     batch = np.arange(math.prod(lead)).reshape(lead + (1,))
     nb = c * (c + 1) // 2
-    idx = (batch * nb + block_of[comm[..., s1], comm[..., s2]]) * l + values[s1, s2]
+    idx = (batch * nb + block) * l + symbol
     return np.bincount(idx.ravel(), minlength=batch.size * nb * l).reshape(lead + (nb, l))
+
+
+def _slot_counts(sizes) -> np.ndarray:
+    """Slot count of every block (row-major i <= j) of communities with these
+    sizes."""
+    iu, ju, _ = _block_index(len(sizes))
+    k = np.asarray(sizes)
+    return np.where(iu == ju, k[iu] * (k[iu] - 1) // 2, k[iu] * k[ju])
 
 
 def _block_windows(rows: np.ndarray, cols: np.ndarray, slots: np.ndarray,
@@ -359,64 +369,118 @@ def _inter_mask(a: np.ndarray, b: np.ndarray, e_i: np.ndarray, e_j: np.ndarray,
     return ok
 
 
-def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
-    if inst.comm1_of_label is None or inst.comm2_of_vertex is None:
-        raise ParameterError("csi matching needs community maps on both sides")
-    c, joint = inst.c, inst.model.joint
-    comm1 = np.asarray(inst.comm1_of_label)
-    comm2 = np.asarray(inst.comm2_of_vertex)
-    labels_of = [np.flatnonzero(comm1 == i) for i in range(c)]
-    verts_of = [np.flatnonzero(comm2 == i) for i in range(c)]
-    for i in range(c):
-        if len(labels_of[i]) != len(verts_of[i]):
-            raise ParameterError(f"community {i + 1} sizes differ between sides")
-    total = math.prod(math.factorial(len(g)) for g in labels_of)
-    if total > cap:
-        raise SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
-    perms = [_perm_table(len(g)) for g in labels_of]
-    g1, g2 = inst.g1_values, inst.g2_values
-    iu, ju, _ = _block_index(c)
-    # Margins decide a block for every candidate or leave it to be counted;
-    # all of them are read before any counting starts.
-    rows = _block_totals(g1, comm1, c, inst.model.l)
-    cols = _block_totals(g2, comm2, c, inst.model.l)
-    slots = rows.sum(axis=-1)
-    lo, hi = count_windows(joint[iu, ju], eps, slots[:, None, None])
-    windows, all_pass, dead = _block_windows(rows, cols, slots, lo, hi)
-    ranks: list[Optional[np.ndarray]] = [None] * c
-    if dead.any():  # no candidate passes: every axis keeps no row, and no block is counted
-        ranks = [np.zeros(0, dtype=np.intp)] * c
-        perms = [p[:0] for p in perms]
-        todo = []
-    else:
-        todo = [(b, int(iu[b]), int(ju[b])) for b in np.flatnonzero(~all_pass).tolist()]
+def _csi_grids(insts: Sequence[MatchingInstance], eps: float, cap: int
+               ) -> Iterator[Union[_Grid, CommatchError]]:
+    """The csi grid of each instance, or the error that refuses it, built one
+    at a time as the caller asks.
 
-    def block(b: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The block's value matrices (labels, vertices) and binding windows."""
-        binding = {key: (int(wlo[b]), int(whi[b])) for key, (wlo, whi) in windows.items()
-                   if wlo[b] > 0 or whi[b] < slots[b]}
+    The instances share their model and label-side map. Each is checked on
+    its own (community maps present, equal community sizes, the size guard);
+    then one margin fold over the instances that pass decides every block of
+    every one of them before any grid is counted.
+    """
+    refused = [ParameterError("csi matching needs community maps on both sides")
+               if inst.comm1_of_label is None or inst.comm2_of_vertex is None else None
+               for inst in insts]
+    live = [k for k, e in enumerate(refused) if e is None]
+    if not live:
+        yield from refused
+        return
+    first = insts[live[0]]
+    c, l = first.c, first.model.l
+    comm1 = np.asarray(first.comm1_of_label)
+    labels_of = [np.flatnonzero(comm1 == i) for i in range(c)]
+    sizes = np.array([len(g) for g in labels_of])
+    comm2 = np.array([insts[k].comm2_of_vertex for k in live])  # (live, n)
+    differ = (comm2[:, :, None] == np.arange(c)).sum(axis=1) != sizes  # (live, c)
+    total = math.prod(math.factorial(k) for k in sizes.tolist())
+    for k, bad, i in zip(live, differ.any(axis=1).tolist(), differ.argmax(axis=1).tolist()):
+        if bad:
+            refused[k] = ParameterError(f"community {i + 1} sizes differ between sides")
+        elif total > cap:
+            refused[k] = SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
+    keep = [t for t, k in enumerate(live) if refused[k] is None]
+    if keep:
+        # Margins decide a block for every candidate or leave it to be
+        # counted; those of every instance are read before any counting.
+        g = np.stack([insts[live[t]].g1_values for t in keep]
+                     + [insts[live[t]].g2_values for t in keep])
+        comm = np.concatenate([np.broadcast_to(comm1, (len(keep), len(comm1))), comm2[keep]])
+        totals = _block_totals(g, comm, c, l)
+        slots = _slot_counts(sizes)
+        iu, ju, _ = _block_index(c)
+        lo, hi = count_windows(first.model.joint[iu, ju], eps, slots[:, None, None])
+        windows, all_pass, dead = _block_windows(totals[:len(keep)], totals[len(keep):],
+                                                 slots, lo, hi)
+        dead = dead.any(axis=1).tolist()
+        # vertices grouped by community, ascending within each
+        verts = np.argsort(comm2, axis=1, kind="stable")
+        ends = np.cumsum(sizes).tolist()
+    folded = dict(zip((live[t] for t in keep), range(len(keep))))
+    for k, error in enumerate(refused):
+        if error is not None or k not in folded:
+            yield error
+            continue
+        t = folded[k]
+        row = verts[keep[t]]
+        verts_of = [row[e - len(g):e] for g, e in zip(labels_of, ends)]
+        if dead[t]:  # no candidate passes: every axis keeps no row, and no block is counted
+            yield _Grid(labels_of=labels_of, verts_of=verts_of,
+                        perms=[_perm_table(len(g))[:0] for g in labels_of],
+                        ranks=[np.zeros(0, dtype=np.intp)] * c,
+                        mask=np.ones((0,) * c, dtype=bool))
+            continue
+        binding = [(b, int(iu[b]), int(ju[b]),
+                    {key: (int(wlo[t, b]), int(whi[t, b])) for key, (wlo, whi) in windows.items()
+                     if wlo[t, b] > 0 or whi[t, b] < slots[b]})
+                   for b in np.flatnonzero(~all_pass[t]).tolist()]
+        yield _counted_grid(insts[k], labels_of, verts_of, binding)
+
+
+def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
+                  verts_of: list[np.ndarray], todo: list[tuple[int, int, int, dict]]) -> _Grid:
+    """The grid of an instance none of whose blocks is dead on its margins,
+    from the undecided blocks todo: (block, i, j, binding windows) each."""
+    c = len(labels_of)
+    perms = [_perm_table(len(g)) for g in labels_of]
+    ranks: list[Optional[np.ndarray]] = [None] * c
+    g1, g2 = inst.g1_values, inst.g2_values
+
+    def values(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The block's value matrices (labels, vertices)."""
         return (g1[labels_of[i][:, None], labels_of[j]],
-                g2[verts_of[i][:, None], verts_of[j]], binding)
+                g2[verts_of[i][:, None], verts_of[j]])
 
     # A candidate passes only when every block does, so each undecided intra
     # block first cuts its axis down to its survivors (kept in lex order, so
     # row-major order stays canonical), and inter blocks count only pairs of
     # survivors. Axes no intra block cuts keep the shared tables.
-    for b, i, j in todo:
+    for _, i, j, binding in todo:
         if i == j:
-            a, v, binding = block(b, i, j)
-            ranks[i] = np.flatnonzero(_intra_mask(a, v, binding))
+            ranks[i] = np.flatnonzero(_intra_mask(*values(i, i), binding))
             perms[i] = perms[i][ranks[i]]
             if not len(ranks[i]):
                 break
     mask = np.ones(tuple(len(p) for p in perms), dtype=bool)
-    for b, i, j in todo:
+    for _, i, j, binding in todo:
         if i != j and mask.size:  # an axis that kept nothing leaves no pair
-            a, v, binding = block(b, i, j)
+            a, v = values(i, j)
             m = _inter_mask(a, v, _onehot_rows(a.shape[0], ranks[i]),
                             _onehot_rows(a.shape[1], ranks[j]), binding)
             mask &= m.reshape(tuple(mask.shape[ax] if ax in (i, j) else 1 for ax in range(c)))
     return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, ranks=ranks, mask=mask)
+
+
+def _raised(result):
+    """result itself, unless it is the error an instance met: then raise it."""
+    if isinstance(result, CommatchError):
+        raise result
+    return result
+
+
+def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
+    """The csi grid of one instance: `_csi_grids` for one."""
+    return _raised(next(_csi_grids([inst], eps, cap)))
 
 
 def _grid_rows(grid: _Grid, idx: np.ndarray) -> np.ndarray:
@@ -491,7 +555,10 @@ def ambiguity_set_csi(inst: MatchingInstance,
     """All typical community-preserving candidates given community maps on
     both sides; `oracle.unrestricted_csi_labelings` scans all n! instead."""
     eps = default_epsilon(inst.n) if eps is None else eps
-    grid = _csi_grid(inst, eps, cap)
+    return _csi_set(_csi_grid(inst, eps, cap), eps)
+
+
+def _csi_set(grid: _Grid, eps: float) -> AmbiguitySet:
     space = math.prod(math.factorial(len(g)) for g in grid.labels_of)
     return AmbiguitySet(grid, eps, "csi", space)
 
@@ -642,19 +709,20 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     """
     asg = _assignments(tuple(inst.sizes))
     iu, ju, _ = _block_index(inst.c)
-    sizes = np.asarray(inst.sizes)
-    slots = np.where(iu == ju, sizes[iu] * (sizes[iu] - 1) // 2, sizes[iu] * sizes[ju])
+    slots = _slot_counts(inst.sizes)
     lo, hi = count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None])
     passes, undecided = _wsi_pairs(inst, asg, slots, lo, hi)
     perms = _perm_table(inst.n)
-    # codes are below c^n < 2^53 for every n whose labeling table fits in
-    # memory, so float64 products are exact
-    weights = float(inst.c) ** np.arange(inst.n - 1, -1, -1)
-    codes = asg @ weights
     ok = np.zeros(len(perms), dtype=bool)
     left = np.arange(len(perms))
-    left_weights = weights[perms]  # c^(n-1-perms[r, u]) of the labelings left
-    for a in np.flatnonzero(passes.any(axis=1)).tolist():
+    walk = np.flatnonzero(passes.any(axis=1)).tolist()
+    if walk:  # the walk's weights table is n! x n float64: built only for a walk
+        # codes are below c^n < 2^53 for every n whose labeling table fits in
+        # memory, so float64 products are exact
+        weights = float(inst.c) ** np.arange(inst.n - 1, -1, -1)
+        codes = asg @ weights
+        left_weights = weights[perms]  # c^(n-1-perms[r, u]) of the labelings left
+    for a in walk:
         hit = passes[a, np.searchsorted(codes, left_weights @ asg[a])]
         ok[left[hit]] = True
         left, left_weights = left[~hit], left_weights[~hit]
@@ -694,7 +762,7 @@ def select_labeling(s: AmbiguitySet, seed: int) -> Labeling:
     size = len(s)
     if size == 0:
         raise EmptyAmbiguitySetError(f"ambiguity set empty (mode {s.mode}, eps {s.eps})")
-    return _member_at(s.grid, int(_philox(seed, _SELECT_TAG).integers(size)), size)
+    return _member_at(s.grid, int(_stream(seed, _SELECT_TAG).integers(size)), size)
 
 
 # -- end to end ---------------------------------------------------------------
@@ -716,26 +784,69 @@ class MatchResult:
     diagnostics: MatchDiagnostics
 
 
-def run_matching(inst: MatchingInstance,
-                 eps: Optional[float] = None,
-                 seed: int = 0,
-                 cap: int = DEFAULT_CANDIDATE_CAP) -> MatchResult:
-    """Build the mode's ambiguity set, pick a member, score against the truth.
+def match_instances(insts: Sequence[MatchingInstance], eps: Optional[float],
+                    seeds: Sequence[int], cap: int = DEFAULT_CANDIDATE_CAP
+                    ) -> list[Union[MatchResult, CommatchError]]:
+    """`run_matching` over instances that share their model, sizes, mode and
+    label-side map, instance k picking with seeds[k]: per instance its
+    MatchResult, or the CommatchError it met.
+
+    csi blocks of every instance are decided in one margin fold; each set is
+    then built, picked from and dropped before the next is built, so at most
+    one is held at a time. wsi sets are built one instance at a time.
+    wall_time_ms runs from the call's start to the instance's result.
+    """
+    t0 = time.perf_counter()
+    first = insts[0]
+    if any(inst.model is not first.model or inst.sizes != first.sizes
+           or inst.mode != first.mode or inst.comm1_of_label != first.comm1_of_label
+           for inst in insts[1:]):
+        raise ParameterError("instances matched together share model, sizes, mode "
+                             "and label-side map")
+    eps = default_epsilon(first.n) if eps is None else eps
+    if first.mode == "csi":
+        sets = (g if isinstance(g, CommatchError) else _csi_set(g, eps)
+                for g in _csi_grids(insts, eps, cap))
+    else:
+        sets = (_caught(ambiguity_set_wsi, inst, eps, cap) for inst in insts)
+    out: list[Union[MatchResult, CommatchError]] = []
+    for inst, seed, s in zip(insts, seeds, sets):
+        if not isinstance(s, CommatchError):
+            s = _caught(_match_result, inst, s, seed, t0)
+        out.append(s)
+    return out
+
+
+def _caught(fn, *args):
+    """fn(*args), or the CommatchError it raised."""
+    try:
+        return fn(*args)
+    except CommatchError as e:
+        return e
+
+
+def _match_result(inst: MatchingInstance, s: AmbiguitySet, seed: int, t0: float) -> MatchResult:
+    """Pick a member of s, score it against the truth.
 
     truth_included is evaluation-side information taken from the sealed truth
     after the choice is made.
     """
-    t0 = time.perf_counter()
-    eps = default_epsilon(inst.n) if eps is None else eps
-    build = ambiguity_set_csi if inst.mode == "csi" else ambiguity_set_wsi
-    s = build(inst, eps, cap=cap)
     chosen = select_labeling(s, seed)
     diag = MatchDiagnostics(
         mode=inst.mode,
-        eps=eps,
+        eps=s.eps,
         ambiguity_size=len(s),
         candidate_space=s.candidate_space,
         truth_included=inst.sealed_truth() in s,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )
     return MatchResult(labeling=chosen, accuracy=inst.score(chosen), diagnostics=diag)
+
+
+def run_matching(inst: MatchingInstance,
+                 eps: Optional[float] = None,
+                 seed: int = 0,
+                 cap: int = DEFAULT_CANDIDATE_CAP) -> MatchResult:
+    """Build the mode's ambiguity set, pick a member, score against the truth:
+    `match_instances` for one instance, raising the error it met."""
+    return _raised(match_instances([inst], eps, [seed], cap)[0])

@@ -878,17 +878,18 @@ def test_member_at_on_a_full_grid_is_the_cell(monkeypatch):
 def test_run_matching_counts_survivors_once(monkeypatch):
     inst = _instance(seed=5, sizes=(4, 4), joint=dsbs_joint(0.1))
     grids, counts = [], []
-    csi_grid, count_nonzero = matcher._csi_grid, np.count_nonzero
+    csi_grids, count_nonzero = matcher._csi_grids, np.count_nonzero
 
     def building(*args):
-        grids.append(csi_grid(*args))
-        return grids[-1]
+        for grid in csi_grids(*args):
+            grids.append(grid)
+            yield grid
 
     def counting(a, *args, **kwargs):
         counts.append(np.size(a))
         return count_nonzero(a, *args, **kwargs)
 
-    monkeypatch.setattr(matcher, "_csi_grid", building)
+    monkeypatch.setattr(matcher, "_csi_grids", building)
     monkeypatch.setattr(np, "count_nonzero", counting)
     for eps in (1.0, 0.3):  # a full grid, then a pruned partial one
         grids.clear()
