@@ -12,7 +12,8 @@ import pytest
 
 import commatch
 from commatch.bounds import achievability_profile, converse_check
-from commatch.cli import _quantiles, main, trial_seed
+from commatch import cli
+from commatch.cli import ExperimentConfig, _quantiles, main, run_campaign, trial_seed
 from commatch.errors import ValidationError
 from commatch.graphgen import load_instance
 from commatch.model import (
@@ -24,7 +25,7 @@ from commatch.model import (
     single_community,
     uniform_product_joint,
 )
-from commatch.typicality import default_epsilon
+from commatch.typicality import DEFAULT_KAPPA, default_epsilon
 
 
 @pytest.fixture()
@@ -470,6 +471,24 @@ def test_campaign_seeds_are_per_trial(tmp_path, model_c2):
     seeds = [int(r["seed"]) for r in rows]
     assert seeds == [trial_seed(9, i) for i in range(4)]
     assert len(set(seeds)) == 4
+
+
+@pytest.mark.parametrize("n, mode, eps, cap, errors", [
+    (6, "csi", 0.6, 10 ** 7, {""}),
+    (6, "wsi", None, 10 ** 7, {""}),
+    # (3,3) has 36 community-preserving candidates: every trial is refused
+    (6, "csi", None, 10, {"SizeGuardError: 36 candidate labelings exceed cap 10"}),
+    # dead blocks empty some sets, counted blocks others, and some trials pass
+    (8, "csi", 0.25, 10 ** 7, {"", "EmptyAmbiguitySetError: ambiguity set empty (mode csi, eps 0.25)"}),
+], ids=["csi", "wsi", "cap", "dead-block"])
+def test_campaign_chunks_change_no_output(monkeypatch, model_c2, n, mode, eps, cap, errors):
+    cfg = ExperimentConfig(model_path=model_c2, n=n, mode=mode, trials=8, master_seed=3,
+                           eps=eps, kappa=DEFAULT_KAPPA, cap=cap)
+    want = run_campaign(cfg)
+    assert {r.error for r in want[0]} == errors
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(cli, "_TRIAL_CHUNK", chunk)
+        assert run_campaign(cfg) == want, chunk
 
 
 def test_campaign_quantiles_equal_numpy_bit_for_bit():

@@ -1,17 +1,21 @@
+import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from commatch.errors import ParameterError, ValidationError
+from commatch.errors import CommatchError, ParameterError, ValidationError
 from commatch.graphgen import (
     anonymize,
     load_instance,
     sample_pair,
+    sample_pairs,
     save_instance,
     vertex_accuracy,
 )
-from commatch.matcher import ambiguity_set_csi
+from commatch.matcher import ambiguity_set_csi, run_matching
 from commatch.model import (
     CommunityLayout,
     PairedEdgeModel,
@@ -274,3 +278,68 @@ def test_sample_pair_equals_per_slot_reference(name, l, seed):
             assert np.array_equal(got, want)
             assert not got.flags.writeable
 
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("name", list(REFERENCE_LAYOUTS))
+def test_sample_pairs_equal_one_seed_draws(name, l):
+    layout = REFERENCE_LAYOUTS[name]
+    model = _blockwise_model(layout.c, l, np.random.default_rng([l, layout.n, layout.c, 1]))
+    seeds = [0, 2 ** 63 + 5, -1, 0, 17]
+    pairs = sample_pairs(model, layout, seeds)
+    assert [p.seed for p in pairs] == seeds
+    for pair, seed in zip(pairs, seeds):
+        alone = sample_pair(model, layout, seed)
+        want = _reference_values(model, layout, seed)
+        for got, one, ref in zip((pair.g1, pair.g2), (alone.g1, alone.g2), want):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, one) and np.array_equal(got, ref)
+    assert sample_pairs(model, layout, []) == []
+
+
+# -- one generator per thread -------------------------------------------------
+
+def _draws(model, layout, seeds):
+    """Everything a trial draws, for each seed: the pair, the anonymized
+    instance and the matcher's pick (or the error it met)."""
+    out = []
+    for seed in seeds:
+        pair = sample_pair(model, layout, seed)
+        inst = anonymize(pair, ("csi", "wsi")[seed % 2], shuffle_seed=seed)
+        try:
+            res = run_matching(inst, eps=0.45, seed=seed)
+            picked = (res.labeling, res.accuracy,
+                      dataclasses.replace(res.diagnostics, wall_time_ms=0.0))
+        except CommatchError as e:
+            picked = repr(e)
+        out.append((pair.g1.tobytes(), pair.g2.tobytes(), inst.g2_values.tobytes(),
+                    inst.comm2_of_vertex, inst.sealed_truth(), picked))
+    return out
+
+
+def test_threads_draw_what_a_sequential_loop_draws():
+    # every stream re-keys its thread's one generator, so two threads drawing
+    # at once get what one thread drawing in turn gets
+    model, layout = homogeneous_model(dsbs_joint(0.2), (3, 3))
+    seeds = [list(range(100)), list(range(2 ** 40, 2 ** 40 + 100))]
+    want = [_draws(model, layout, s) for s in seeds]
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def work(k):
+        start.wait()
+        got[k] = _draws(model, layout, seeds[k])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-trial included
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    # some trials pick from a set and some meet an empty one
+    assert {isinstance(w[-1], str) for w in want[0] + want[1]} == {True, False}

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -675,6 +676,25 @@ def test_every_pair_dead_gives_empty_set_without_counting(monkeypatch, sizes):
     assert s.candidate_space == math.factorial(inst.n) * len(_all_assignments(inst))
     with pytest.raises(EmptyAmbiguitySetError):
         run_matching(inst, eps=0.3)
+
+
+def test_no_walk_builds_no_labeling_weights():
+    # dsbs(0.1) (4,4) at eps 0.3: no assignment pair passes, so the walk takes
+    # no step and its n! x n float64 weights (2.6 MB at n = 8) are never built
+    model, lay = homogeneous_model(dsbs_joint(0.1), (4, 4))
+    table = _perm_table(8)  # shared and cached, so built before tracing
+    for seed in range(3):
+        inst = anonymize(sample_pair(model, lay, seed), "wsi", shuffle_seed=seed)
+        slots, lo, hi = _wsi_windows(inst, 0.3)
+        passes, _ = matcher._wsi_pairs(inst, _all_assignments(inst), slots, lo, hi)
+        assert not passes.any()
+        tracemalloc.start()
+        try:
+            matcher._wsi_mask(inst, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.size * np.dtype(np.float64).itemsize, seed
 
 
 def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
