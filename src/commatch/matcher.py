@@ -24,11 +24,15 @@ A community-preserving candidate only permutes the second graph's slots within
 a block, so both graphs' symbol totals in the block are the same for every
 candidate, and each cell count is one of those totals plus or minus a sum of
 hot counts (both symbols >= 1) that stays in a range the totals fix. One
-batched fold over a grid's blocks finds them: a block whose windows contain
-their whole ranges passes for every candidate and is never counted; a block
-with a window that misses its range passes for none, and the grid is empty
-(every axis keeps no permutation) without counting any block. Only the rest
-are counted.
+batched fold finds them, over every block of every instance that one
+`match_instances` call gets (a campaign's chunk of trials; `run_matching` is
+the one-instance case): one bincount gives both graphs' totals, one
+`count_windows` lookup the windows. A block whose windows contain their whole
+ranges passes for every candidate and is never counted; a block with a window
+that misses its range passes for none, and the grid is empty (every axis
+keeps no permutation) without counting any block. Only the rest are counted,
+one instance's grid at a time, and each set is picked from and dropped before
+the next grid is counted.
 
 The wsi path sweeps the label-side assignments with the instance's declared
 community sizes and decides pairs of them the same way. Under an assignment
@@ -47,7 +51,7 @@ symbol).
 
 Every window comes from one memoized table, `typicality.count_windows`, which
 turns the float expression of `is_jointly_typical` into integer windows of
-passing counts, one call per csi grid and one per wsi sweep, whose pair fold
+passing counts, one call per csi fold and one per wsi sweep, whose pair fold
 and count share it (slot counts broadcast against the model's cells). Every
 count is checked against its window in one place, `_within`, so the
 decisions agree with the scalar test bit for bit.
@@ -67,7 +71,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -240,12 +244,26 @@ def _block_totals(values: np.ndarray, comm: np.ndarray, c: int, l: int) -> np.nd
     return np.bincount(idx.ravel(), minlength=batch.size * nb * l).reshape(lead + (nb, l))
 
 
-def _slot_counts(sizes) -> np.ndarray:
+@lru_cache(maxsize=1 << 10)
+def _slot_counts(sizes: tuple[int, ...]) -> np.ndarray:
     """Slot count of every block (row-major i <= j) of communities with these
-    sizes."""
+    sizes; shared, hence read-only."""
     iu, ju, _ = _block_index(len(sizes))
     k = np.asarray(sizes)
-    return np.where(iu == ju, k[iu] * (k[iu] - 1) // 2, k[iu] * k[ju])
+    slots = np.where(iu == ju, k[iu] * (k[iu] - 1) // 2, k[iu] * k[ju])
+    slots.setflags(write=False)
+    return slots
+
+
+@lru_cache(maxsize=1 << 10)
+def _label_groups(comm1: tuple[int, ...], c: int) -> tuple[np.ndarray, ...]:
+    """The labels of each of c communities under a label-side map, ascending;
+    shared, hence read-only."""
+    comm1 = np.asarray(comm1)
+    groups = tuple(np.flatnonzero(comm1 == i) for i in range(c))
+    for g in groups:
+        g.setflags(write=False)
+    return groups
 
 
 def _block_windows(rows: np.ndarray, cols: np.ndarray, slots: np.ndarray,
@@ -388,59 +406,62 @@ def _csi_grids(insts: Sequence[MatchingInstance], eps: float, cap: int
         return
     first = insts[live[0]]
     c, l = first.c, first.model.l
-    comm1 = np.asarray(first.comm1_of_label)
-    labels_of = [np.flatnonzero(comm1 == i) for i in range(c)]
-    sizes = np.array([len(g) for g in labels_of])
+    labels_of = list(_label_groups(first.comm1_of_label, c))
+    sizes = tuple(len(g) for g in labels_of)
     comm2 = np.array([insts[k].comm2_of_vertex for k in live])  # (live, n)
-    differ = (comm2[:, :, None] == np.arange(c)).sum(axis=1) != sizes  # (live, c)
-    total = math.prod(math.factorial(k) for k in sizes.tolist())
-    for k, bad, i in zip(live, differ.any(axis=1).tolist(), differ.argmax(axis=1).tolist()):
+    # both sides' community sizes are equal where the two maps sort alike
+    differ = (np.sort(comm2, axis=1) != sorted(first.comm1_of_label)).any(axis=1).tolist()
+    total = math.prod(math.factorial(k) for k in sizes)
+    for k, bad in zip(live, differ):
         if bad:
+            m = insts[k].comm2_of_vertex
+            i = next((i for i in range(c) if m.count(i) != sizes[i]), c)
             refused[k] = ParameterError(f"community {i + 1} sizes differ between sides")
         elif total > cap:
             refused[k] = SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
-    keep = [t for t, k in enumerate(live) if refused[k] is None]
-    if keep:
+    fold = [t for t, k in enumerate(live) if refused[k] is None]  # rows of comm2
+    if fold:
         # Margins decide a block for every candidate or leave it to be
         # counted; those of every instance are read before any counting.
-        g = np.stack([insts[live[t]].g1_values for t in keep]
-                     + [insts[live[t]].g2_values for t in keep])
-        comm = np.concatenate([np.broadcast_to(comm1, (len(keep), len(comm1))), comm2[keep]])
+        comm2 = comm2[fold]
+        g = np.array([insts[live[t]].g1_values for t in fold]
+                     + [insts[live[t]].g2_values for t in fold])
+        comm = np.empty((2 * len(fold), comm2.shape[1]), dtype=comm2.dtype)
+        comm[:len(fold)], comm[len(fold):] = first.comm1_of_label, comm2
         totals = _block_totals(g, comm, c, l)
         slots = _slot_counts(sizes)
         iu, ju, _ = _block_index(c)
         lo, hi = count_windows(first.model.joint[iu, ju], eps, slots[:, None, None])
-        windows, all_pass, dead = _block_windows(totals[:len(keep)], totals[len(keep):],
+        windows, all_pass, dead = _block_windows(totals[:len(fold)], totals[len(fold):],
                                                  slots, lo, hi)
         dead = dead.any(axis=1).tolist()
         # vertices grouped by community, ascending within each
         verts = np.argsort(comm2, axis=1, kind="stable")
-        ends = np.cumsum(sizes).tolist()
-    folded = dict(zip((live[t] for t in keep), range(len(keep))))
+        ends = list(accumulate(sizes))
+    row_of = {live[t]: row for row, t in enumerate(fold)}
     for k, error in enumerate(refused):
-        if error is not None or k not in folded:
+        if error is not None:
             yield error
             continue
-        t = folded[k]
-        row = verts[keep[t]]
-        verts_of = [row[e - len(g):e] for g, e in zip(labels_of, ends)]
+        t = row_of[k]
+        verts_of = [verts[t, e - len(g):e] for g, e in zip(labels_of, ends)]
         if dead[t]:  # no candidate passes: every axis keeps no row, and no block is counted
             yield _Grid(labels_of=labels_of, verts_of=verts_of,
                         perms=[_perm_table(len(g))[:0] for g in labels_of],
                         ranks=[np.zeros(0, dtype=np.intp)] * c,
                         mask=np.ones((0,) * c, dtype=bool))
             continue
-        binding = [(b, int(iu[b]), int(ju[b]),
-                    {key: (int(wlo[t, b]), int(whi[t, b])) for key, (wlo, whi) in windows.items()
-                     if wlo[t, b] > 0 or whi[t, b] < slots[b]})
-                   for b in np.flatnonzero(~all_pass[t]).tolist()]
-        yield _counted_grid(insts[k], labels_of, verts_of, binding)
+        todo = [(int(iu[b]), int(ju[b]),
+                 {key: (int(wlo[t, b]), int(whi[t, b])) for key, (wlo, whi) in windows.items()
+                  if wlo[t, b] > 0 or whi[t, b] < slots[b]})
+                for b in np.flatnonzero(~all_pass[t]).tolist()]
+        yield _counted_grid(insts[k], labels_of, verts_of, todo)
 
 
 def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
-                  verts_of: list[np.ndarray], todo: list[tuple[int, int, int, dict]]) -> _Grid:
+                  verts_of: list[np.ndarray], todo: list[tuple[int, int, dict]]) -> _Grid:
     """The grid of an instance none of whose blocks is dead on its margins,
-    from the undecided blocks todo: (block, i, j, binding windows) each."""
+    from its undecided blocks todo: (i, j, binding windows) each."""
     c = len(labels_of)
     perms = [_perm_table(len(g)) for g in labels_of]
     ranks: list[Optional[np.ndarray]] = [None] * c
@@ -455,14 +476,14 @@ def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
     # block first cuts its axis down to its survivors (kept in lex order, so
     # row-major order stays canonical), and inter blocks count only pairs of
     # survivors. Axes no intra block cuts keep the shared tables.
-    for _, i, j, binding in todo:
+    for i, j, binding in todo:
         if i == j:
             ranks[i] = np.flatnonzero(_intra_mask(*values(i, i), binding))
             perms[i] = perms[i][ranks[i]]
             if not len(ranks[i]):
                 break
     mask = np.ones(tuple(len(p) for p in perms), dtype=bool)
-    for _, i, j, binding in todo:
+    for i, j, binding in todo:
         if i != j and mask.size:  # an axis that kept nothing leaves no pair
             a, v = values(i, j)
             m = _inter_mask(a, v, _onehot_rows(a.shape[0], ranks[i]),
@@ -709,7 +730,7 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     """
     asg = _assignments(tuple(inst.sizes))
     iu, ju, _ = _block_index(inst.c)
-    slots = _slot_counts(inst.sizes)
+    slots = _slot_counts(tuple(inst.sizes))
     lo, hi = count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None])
     passes, undecided = _wsi_pairs(inst, asg, slots, lo, hi)
     perms = _perm_table(inst.n)
@@ -797,6 +818,10 @@ def match_instances(insts: Sequence[MatchingInstance], eps: Optional[float],
     wall_time_ms runs from the call's start to the instance's result.
     """
     t0 = time.perf_counter()
+    if len(seeds) != len(insts):
+        raise ParameterError(f"{len(insts)} instances need as many seeds, got {len(seeds)}")
+    if not insts:
+        return []
     first = insts[0]
     if any(inst.model is not first.model or inst.sizes != first.sizes
            or inst.mode != first.mode or inst.comm1_of_label != first.comm1_of_label
@@ -818,11 +843,13 @@ def match_instances(insts: Sequence[MatchingInstance], eps: Optional[float],
 
 
 def _caught(fn, *args):
-    """fn(*args), or the CommatchError it raised."""
+    """fn(*args), or the CommatchError it raised, without its traceback: the
+    traceback's frames would keep fn's arguments (a set, say) alive as long
+    as the error."""
     try:
         return fn(*args)
     except CommatchError as e:
-        return e
+        return e.with_traceback(None)
 
 
 def _match_result(inst: MatchingInstance, s: AmbiguitySet, seed: int, t0: float) -> MatchResult:

@@ -337,9 +337,10 @@ def test_threads_draw_what_a_sequential_loop_draws():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert got == want
     # some trials pick from a set and some meet an empty one
     assert {isinstance(w[-1], str) for w in want[0] + want[1]} == {True, False}
