@@ -406,7 +406,7 @@ def _csi_grids(insts: Sequence[MatchingInstance], eps: float, cap: int
         return
     first = insts[live[0]]
     c, l = first.c, first.model.l
-    labels_of = list(_label_groups(first.comm1_of_label, c))
+    labels_of = list(_label_groups(tuple(first.comm1_of_label), c))
     sizes = tuple(len(g) for g in labels_of)
     comm2 = np.array([insts[k].comm2_of_vertex for k in live])  # (live, n)
     # both sides' community sizes are equal where the two maps sort alike

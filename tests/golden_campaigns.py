@@ -86,7 +86,7 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def main_write() -> None:
+def write_golden() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"versions": versions(), "campaigns": campaign_digests(Path(tmp))}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -94,4 +94,4 @@ def main_write() -> None:
 
 
 if __name__ == "__main__":
-    main_write()
+    write_golden()
