@@ -3,8 +3,9 @@
 Each entry runs one campaign in-process through `cli.main` and records the
 sha256 of the CSV and of the summary JSON it writes. The configurations are
 those of the benchmark's campaign workloads (copied here, not imported) at two
-master seeds each, plus a campaign the size guard refuses trial by trial and
-one whose eps leaves a dead block in some trials.
+master seeds each, plus csi and wsi campaigns the size guard refuses trial by
+trial, csi campaigns whose eps leaves a dead block in some trials, and wsi
+campaigns whose eps leaves pairs of assignments undecided or dead.
 
 Regenerate the committed file with
 
@@ -41,6 +42,7 @@ MODELS = {
     "d66": (dsbs_joint(0.1), (6, 6)),
     "d33": (dsbs_joint(0.1), (3, 3)),
     "d43": (dsbs_joint(0.1), (4, 3)),
+    "d222": (dsbs_joint(0.1), (2, 2, 2)),
 }
 
 # name -> (model, n, mode, trials, extra flags)
@@ -60,6 +62,15 @@ CAMPAIGNS = {
     # eps 0.15 leaves an empty set in some trials and 0.1 in every one
     "d66-n12-eps0.15": ("d66", 12, "csi", 6, ["--eps", "0.15"]),
     "d444-n12-eps0.1": ("d444", 12, "csi", 6, ["--eps", "0.1"]),
+    # wsi verdicts off the default eps: at 0.3 some pairs are undecided and
+    # some sets empty, at 0.2 every pair is dead; (4,3) at 0.45 and the three
+    # communities at 0.6 walk and then count
+    "d33-n6-wsi-eps0.3": ("d33", 6, "wsi", 6, ["--eps", "0.3"]),
+    "d33-n6-wsi-eps0.2": ("d33", 6, "wsi", 6, ["--eps", "0.2"]),
+    "d43-n7-wsi-eps0.45": ("d43", 7, "wsi", 6, ["--eps", "0.45"]),
+    "d222-n6-wsi-eps0.6": ("d222", 6, "wsi", 6, ["--eps", "0.6"]),
+    # 720 labelings x 20 assignments: every trial is refused
+    "d33-n6-wsi-cap1000": ("d33", 6, "wsi", 6, ["--cap", "1000"]),
 }
 
 
