@@ -127,8 +127,9 @@ class TrialRecord:
     error: str
 
 
-# Trials per chunk. A chunk pays the per-call cost of sampling and of the csi
-# margin fold (tens of numpy calls on arrays of a few dozen entries) once.
+# Trials per chunk. A chunk pays the per-call cost of sampling and of the
+# margin fold, of csi blocks or of wsi assignment pairs (tens of numpy calls
+# on arrays of a few dozen entries), once.
 # Past 64 trials the saving per trial flattens, while what a chunk holds at
 # once keeps growing with it: at n = 100 its (trials, n, n) int64 pair values
 # are 5 MB per graph. Matched sets are built and dropped one at a time.

@@ -39,22 +39,27 @@ community sizes and decides pairs of them the same way. Under an assignment
 m1 a labeling puts the vertices in the communities m2 that m1 reads through
 it, and every label pair falls in the same block on both sides, so the
 block's symbol totals are fixed by m1 in the first graph and by m2 in the
-second for every labeling that meets the pair (m1, m2). The same fold, run
-once over the pairs of swept assignments, marks each pair passing, dead or
-undecided. A walk over the m1 with a passing pair keeps every labeling that
-meets one; if some pair is undecided, every labeling left is counted, and
-otherwise the labelings left met dead pairs only and are out. So when no pair
-passes the walk takes no step, and when every pair is dead the set is empty
-and nothing is counted. Counts come from one matrix product of the labelings'
-slot values against a 0/1 table of slots per (assignment, block, first-graph
-symbol).
+second for every labeling that meets the pair (m1, m2). The same fold marks
+each pair of swept assignments passing, dead or undecided, pooled over the
+instances of one `match_instances` call as for csi: one bincount gives both
+graphs' totals under every assignment in every instance, and the windows are
+decided once per distinct (block, totals) pair. Instances are folded in
+groups whose verdicts fit a fixed budget, so a chunk holds no more than one
+group's. Each instance then walks and counts on its own, and its set is
+picked from and dropped before the next. A walk over the m1 with a passing
+pair keeps every labeling that meets one; if some pair is undecided, every
+labeling left is counted, and otherwise the labelings left met dead pairs
+only and are out. So when no pair passes the walk takes no step, and when
+every pair is dead the set is empty and nothing is counted. Counts come from
+one matrix product of the labelings' slot values against a 0/1 table of
+slots per (assignment, block, first-graph symbol).
 
 Every window comes from one memoized table, `typicality.count_windows`, which
 turns the float expression of `is_jointly_typical` into integer windows of
-passing counts, one call per csi fold and one per wsi sweep, whose pair fold
-and count share it (slot counts broadcast against the model's cells). Every
-count is checked against its window in one place, `_within`, so the
-decisions agree with the scalar test bit for bit.
+passing counts (slot counts broadcast against the model's cells), one call
+per `match_instances` call in either mode; the wsi pair fold and count share
+it. Every count is checked against its window in one place, `_within`, so
+the decisions agree with the scalar test bit for bit.
 
 An ambiguity set is a boolean mask over a grid of candidates: one axis per
 community for csi, over that community's intra survivors in lex order, and
@@ -620,41 +625,67 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def _wsi_pairs(inst: MatchingInstance, asg: np.ndarray, slots: np.ndarray,
-               lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Margin verdicts of the assignment pairs (m1, m2): an (|A|, |A|) bool
-    of whether every labeling that meets the pair passes, and whether any
-    pair is undecided, neither passing nor dead.
+# Entries of the (instances, |A|, |A|) int8 verdicts one `_wsi_fold` call
+# holds; a chunk's instances are folded in groups that fit, one instance at
+# least. A group peaks at about 7 bytes per verdict entry (a gather as large,
+# and the bincount's int64 index and totals), so about 2 MB at 2^18, which
+# still folds a 64-trial chunk of (3,3) (|A| = 20) or (4,3) (35) in one group.
+# Larger groups save little: on 64 (3,3) instances the fold costs 275, 108,
+# 56 and 39 us per instance in groups of 1, 4, 16 and 64.
+_WSI_FOLD = 1 << 18
+
+
+def _wsi_pairs(insts: Sequence[MatchingInstance], asg: np.ndarray, slots: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:
+    """Margin verdicts of the assignment pairs (m1, m2) of each instance, as
+    the caller asks: an (|A|, |A|) bool of whether every labeling that meets
+    the pair passes, and whether any pair is undecided, neither passing nor
+    dead.
 
     A labeling meets (m1, m2) when it maps each label's community under m1
     onto its vertex's community under m2. It keeps every block's slots in the
     block, so each block's first-graph totals (under m1) and second-graph
     totals (under m2) are the margins of its joint type, as in a csi grid.
-    All assignments share their sizes, hence each block's slot count and
-    count windows (slots, lo and hi per block). Few totals are distinct, and
-    the fold runs once over every (block, first-graph totals) x (block,
-    second-graph totals) that occurs; the verdicts it gives across two
-    different blocks are never read. Each pair's worst block is folded in
-    one block at a time, so memory stays at (|A|, |A|) whatever the block
-    count.
+    The instances share their model and sizes, and all assignments share
+    their sizes, hence each block's slot count and count windows (slots, lo
+    and hi per block). Instances are folded in groups of at most `_WSI_FOLD`
+    verdicts, one `_wsi_fold` each, whose arrays are freed when its group is
+    consumed and before the next group is folded.
     """
-    c, l = inst.c, inst.model.l
-    na, nb = len(asg), len(slots)
-    rows = _block_totals(inst.g1_values, asg, c, l)  # (|A|, block, symbol)
-    cols = _block_totals(inst.g2_values, asg, c, l)
-    block = np.broadcast_to(np.arange(nb), (na, nb)).reshape(-1, 1)
-    r_at, r_of = _distinct_rows(np.hstack([block, rows.reshape(-1, l)]))
-    c_at, c_of = _distinct_rows(np.hstack([block, cols.reshape(-1, l)]))
+    group = max(1, _WSI_FOLD // len(asg) ** 2)
+    for g0 in range(0, len(insts), group):
+        yield from _wsi_fold(insts[g0:g0 + group], asg, slots, lo, hi)
+
+
+def _wsi_fold(insts: Sequence[MatchingInstance], asg: np.ndarray, slots: np.ndarray,
+              lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:
+    """`_wsi_pairs` of one group of instances, in one fold: one bincount
+    gives both graphs' totals under every assignment in every instance. Few
+    totals are distinct, and the windows are decided once over every (block,
+    first-graph totals) x (block, second-graph totals) that occurs in any
+    instance; the verdicts they give across two different blocks are never
+    read. Each pair's worst block is folded in one block at a time, so memory
+    stays at (instances, |A|, |A|) whatever the block count.
+    """
+    first = insts[0]
+    t, na, nb, l = len(insts), len(asg), len(slots), first.model.l
+    g = np.array([inst.g1_values for inst in insts] + [inst.g2_values for inst in insts])
+    # (side, instance, assignment, block) rows of symbol totals
+    totals = _block_totals(g[:, None], asg, first.c, l).reshape(2, -1, l)
+    block = np.broadcast_to(np.arange(nb), (t * na, nb)).reshape(-1, 1)
+    r_at, r_of = _distinct_rows(np.hstack([block, totals[0]]))
+    c_at, c_of = _distinct_rows(np.hstack([block, totals[1]]))
     b = block[r_at, 0]
-    _, all_pass, dead = _block_windows(rows.reshape(-1, l)[r_at, None], cols.reshape(-1, l)[c_at],
+    _, all_pass, dead = _block_windows(totals[0][r_at, None], totals[1][c_at],
                                        slots[b, None], lo[b, None], hi[b, None])
     # 2 passes, 1 is left to count, 0 is dead; a pair takes its worst block
     state = all_pass.astype(np.int8) + ~dead
-    r_of, c_of = r_of.reshape(na, nb), c_of.reshape(na, nb)
-    verdict = np.full((na, na), 2, dtype=np.int8)  # (m1, m2)
+    r_of, c_of = r_of.reshape(t, na, nb), c_of.reshape(t, na, nb)
+    verdict = np.full((t, na, na), 2, dtype=np.int8)  # (instance, m1, m2)
     for k in range(nb):
-        np.minimum(verdict, state[np.ix_(r_of[:, k], c_of[:, k])], out=verdict)
-    return verdict == 2, bool((verdict == 1).any())
+        np.minimum(verdict, state[r_of[:, :, k, None], c_of[:, None, :, k]], out=verdict)
+    for v in verdict:
+        yield v == 2, bool((v == 1).any())
 
 
 # Float32 entries of one (rows, columns) count array in _wsi_count.
@@ -715,9 +746,11 @@ def _wsi_count(inst: MatchingInstance, asg: np.ndarray, rows: np.ndarray,
     return ok
 
 
-def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
+def _wsi_mask(inst: MatchingInstance, asg: np.ndarray, passes: np.ndarray, undecided: bool,
+              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """bool[n!], in lex label -> vertex order: is the labeling typical under
-    some assignment of the labels with the instance's community sizes?
+    some assignment of asg, the labels' assignments with the instance's
+    community sizes? passes and undecided are the instance's `_wsi_pairs`.
 
     Labeling r under m1 meets the pair (m1, m2) with m2[perms[r, u]] = m1[u].
     m2 is found by its code sum_v m2[v] c^(n-1-v), which equals
@@ -728,11 +761,6 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     every labeling left is counted; otherwise the labelings left met dead
     pairs only and are out.
     """
-    asg = _assignments(tuple(inst.sizes))
-    iu, ju, _ = _block_index(inst.c)
-    slots = _slot_counts(tuple(inst.sizes))
-    lo, hi = count_windows(inst.model.joint[iu, ju], eps, slots[:, None, None])
-    passes, undecided = _wsi_pairs(inst, asg, slots, lo, hi)
     perms = _perm_table(inst.n)
     ok = np.zeros(len(perms), dtype=bool)
     left = np.arange(len(perms))
@@ -754,6 +782,36 @@ def _wsi_mask(inst: MatchingInstance, eps: float) -> np.ndarray:
     return ok
 
 
+def _wsi_sets(insts: Sequence[MatchingInstance], eps: float, cap: int
+              ) -> Iterator[Union[AmbiguitySet, CommatchError]]:
+    """The wsi set of each instance, or the error that refuses it, built one
+    at a time as the caller asks.
+
+    The instances share their model and community sizes, hence the candidate
+    count: the size guard refuses all of them or none, before any assignment
+    is built. Then `_wsi_pairs` decides the assignment pairs of every
+    instance, a group of instances per fold, and each instance walks and
+    counts its own labelings.
+    """
+    first = insts[0]
+    sizes = tuple(first.sizes)
+    labelings = math.factorial(first.n)
+    count = labelings // math.prod(math.factorial(k) for k in sizes)
+    if labelings * count > cap:
+        for _ in insts:
+            yield SizeGuardError(f"{labelings} candidates x {count} assignments exceed cap {cap}")
+        return
+    asg = _assignments(sizes)
+    iu, ju, _ = _block_index(first.c)
+    slots = _slot_counts(sizes)
+    lo, hi = count_windows(first.model.joint[iu, ju], eps, slots[:, None, None])
+    everyone = np.arange(first.n)
+    for inst, (passes, undecided) in zip(insts, _wsi_pairs(insts, asg, slots, lo, hi)):
+        grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(inst.n)],
+                     ranks=[None], mask=_wsi_mask(inst, asg, passes, undecided, lo, hi))
+        yield AmbiguitySet(grid, eps, "wsi", labelings * count)
+
+
 def ambiguity_set_wsi(inst: MatchingInstance,
                       eps: Optional[float] = None,
                       cap: int = DEFAULT_CANDIDATE_CAP) -> AmbiguitySet:
@@ -764,17 +822,11 @@ def ambiguity_set_wsi(inst: MatchingInstance,
     typical; the anonymized side's assignment is the candidate's image of the
     hypothesis, which is the only pairing with any community-preserving
     candidates, so sweeping assignment pairs reduces to sweeping one side.
-    The size guard runs before any assignment is built.
+    The size guard runs before any assignment is built. `_wsi_sets` for one
+    instance.
     """
     eps = default_epsilon(inst.n) if eps is None else eps
-    labelings = math.factorial(inst.n)
-    count = labelings // math.prod(math.factorial(k) for k in inst.sizes)
-    if labelings * count > cap:
-        raise SizeGuardError(f"{labelings} candidates x {count} assignments exceed cap {cap}")
-    everyone = np.arange(inst.n)
-    grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(inst.n)],
-                 ranks=[None], mask=_wsi_mask(inst, eps))
-    return AmbiguitySet(grid, eps, "wsi", labelings * count)
+    return _raised(next(_wsi_sets([inst], eps, cap)))
 
 
 def select_labeling(s: AmbiguitySet, seed: int) -> Labeling:
@@ -812,10 +864,11 @@ def match_instances(insts: Sequence[MatchingInstance], eps: Optional[float],
     label-side map, instance k picking with seeds[k]: per instance its
     MatchResult, or the CommatchError it met.
 
-    csi blocks of every instance are decided in one margin fold; each set is
-    then built, picked from and dropped before the next is built, so at most
-    one is held at a time. wsi sets are built one instance at a time.
-    wall_time_ms runs from the call's start to the instance's result.
+    csi blocks of every instance are decided in one margin fold, and so are
+    the wsi assignment pairs (in groups of instances, `_wsi_pairs`); each set
+    is then built, picked from and dropped before the next is built, so at
+    most one is held at a time. wall_time_ms runs from the call's start to
+    the instance's result.
     """
     t0 = time.perf_counter()
     if len(seeds) != len(insts):
@@ -833,7 +886,7 @@ def match_instances(insts: Sequence[MatchingInstance], eps: Optional[float],
         sets = (g if isinstance(g, CommatchError) else _csi_set(g, eps)
                 for g in _csi_grids(insts, eps, cap))
     else:
-        sets = (_caught(ambiguity_set_wsi, inst, eps, cap) for inst in insts)
+        sets = _wsi_sets(insts, eps, cap)
     out: list[Union[MatchResult, CommatchError]] = []
     for inst, seed, s in zip(insts, seeds, sets):
         if not isinstance(s, CommatchError):

@@ -480,7 +480,11 @@ def test_campaign_seeds_are_per_trial(tmp_path, model_c2):
     (6, "csi", None, 10, {"SizeGuardError: 36 candidate labelings exceed cap 10"}),
     # dead blocks empty some sets, counted blocks others, and some trials pass
     (8, "csi", 0.25, 10 ** 7, {"", "EmptyAmbiguitySetError: ambiguity set empty (mode csi, eps 0.25)"}),
-], ids=["csi", "wsi", "cap", "dead-block"])
+    # 720 labelings x 20 assignments: every wsi trial is refused
+    (6, "wsi", None, 1000, {"SizeGuardError: 720 candidates x 20 assignments exceed cap 1000"}),
+    # undecided and dead assignment pairs: some wsi sets empty, some not
+    (6, "wsi", 0.25, 10 ** 7, {"", "EmptyAmbiguitySetError: ambiguity set empty (mode wsi, eps 0.25)"}),
+], ids=["csi", "wsi", "cap", "dead-block", "wsi-cap", "wsi-empty"])
 def test_campaign_chunks_change_no_output(monkeypatch, model_c2, n, mode, eps, cap, errors):
     cfg = ExperimentConfig(model_path=model_c2, n=n, mode=mode, trials=8, master_seed=3,
                            eps=eps, kappa=DEFAULT_KAPPA, cap=cap)

@@ -686,11 +686,11 @@ def test_no_walk_builds_no_labeling_weights():
     for seed in range(3):
         inst = anonymize(sample_pair(model, lay, seed), "wsi", shuffle_seed=seed)
         slots, lo, hi = _wsi_windows(inst, 0.3)
-        passes, _ = matcher._wsi_pairs(inst, _all_assignments(inst), slots, lo, hi)
+        passes, _ = next(matcher._wsi_pairs([inst], _all_assignments(inst), slots, lo, hi))
         assert not passes.any()
         tracemalloc.start()
         try:
-            matcher._wsi_mask(inst, 0.3)
+            next(matcher._wsi_sets([inst], 0.3, DEFAULT_CANDIDATE_CAP))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -703,7 +703,7 @@ def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
     # is counted (some of those pass, some do not)
     inst = _wsi_instance((3, 3), "community", 1)
     asg = _all_assignments(inst)
-    passes, undecided = matcher._wsi_pairs(inst, asg, *_wsi_windows(inst, 0.45))
+    passes, undecided = next(matcher._wsi_pairs([inst], asg, *_wsi_windows(inst, 0.45)))
     assert undecided
     # labeling r meets (m1, m2) with m2[ltv[u]] = m1[u]
     index = {tuple(m): k for k, m in enumerate(asg.tolist())}
@@ -725,6 +725,57 @@ def test_wsi_mixed_verdicts_match_scalar_loop(monkeypatch):
     assert (walked | was_counted).all()  # left after the walk: counted
     assert (mask & was_counted).any() and (~mask & was_counted).any()
     assert {p.mapping for p in s} == _brute_wsi(inst, [0.45])[0.45]
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 3), (2, 2, 2), (2, 2, 1, 1)])
+def test_wsi_chunk_matches_one_instance_at_a_time(monkeypatch, sizes):
+    # one pair fold over a chunk's instances, in one group, in groups of 4
+    # and one instance per group, gives each instance what its own
+    # run_matching gives: the pick, its score and diagnostics, or the error
+    model, lay = homogeneous_model(dsbs_joint(0.1), sizes)
+    seeds = list(range(6))
+    insts = [anonymize(sample_pair(model, lay, s), "wsi", shuffle_seed=s) for s in seeds]
+    na = len(_all_assignments(insts[0]))
+    outcomes = set()
+    for eps in (0.2, 0.3, 0.45, 0.6, None):
+        want = []
+        for inst, seed in zip(insts, seeds):
+            try:
+                res = run_matching(inst, eps, seed)
+            except EmptyAmbiguitySetError as e:
+                want.append(str(e))
+            else:
+                want.append((res.labeling, res.accuracy,
+                             dataclasses.replace(res.diagnostics, wall_time_ms=0.0)))
+        outcomes |= {type(w) for w in want}
+        for fold in (matcher._WSI_FOLD, 4 * na * na, 1):
+            monkeypatch.setattr(matcher, "_WSI_FOLD", fold)
+            got = [str(r) if isinstance(r, EmptyAmbiguitySetError) else
+                   (r.labeling, r.accuracy, dataclasses.replace(r.diagnostics, wall_time_ms=0.0))
+                   for r in matcher.match_instances(insts, eps, seeds)]
+            assert got == want, (eps, fold)
+    assert outcomes == {str, tuple}  # some sets empty, some not
+
+
+def test_wsi_pair_fold_memory_is_bounded_by_its_groups():
+    # the fold's bincount index (2 per instance, |A|, slots) and its verdicts
+    # (instances, |A|, |A|) grow with the instances folded together; groups
+    # keep 16 (2,2,1,1,1) instances (|A| = 1260) near the peak of one
+    sizes = (2, 2, 1, 1, 1)
+    model, lay = homogeneous_model(dsbs_joint(0.1), sizes)
+    insts = [anonymize(sample_pair(model, lay, s), "wsi", shuffle_seed=s) for s in range(16)]
+    asg = matcher._assignments(sizes)  # shared and cached, so built before tracing
+    slots, lo, hi = _wsi_windows(insts[0], 0.3)
+    peaks = []
+    for chunk in (insts[:1], insts):
+        tracemalloc.start()
+        try:
+            for _ in matcher._wsi_pairs(chunk, asg, slots, lo, hi):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_wsi_verdicts_match_counting_sampled():
