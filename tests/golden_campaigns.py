@@ -62,9 +62,10 @@ CAMPAIGNS = {
     # eps 0.15 leaves an empty set in some trials and 0.1 in every one
     "d66-n12-eps0.15": ("d66", 12, "csi", 6, ["--eps", "0.15"]),
     "d444-n12-eps0.1": ("d444", 12, "csi", 6, ["--eps", "0.1"]),
-    # wsi verdicts off the default eps: at 0.3 some pairs are undecided and
-    # some sets empty, at 0.2 every pair is dead; (4,3) at 0.45 and the three
-    # communities at 0.6 walk and then count
+    # wsi verdicts off the default eps: at 0.3 no pair passes, so most trials
+    # count every labeling and in the rest every pair is dead and the set
+    # empty; at 0.2 every pair is dead; (4,3) at 0.45 and the three
+    # communities at 0.6 walk, and some trials then count what the walk left
     "d33-n6-wsi-eps0.3": ("d33", 6, "wsi", 6, ["--eps", "0.3"]),
     "d33-n6-wsi-eps0.2": ("d33", 6, "wsi", 6, ["--eps", "0.2"]),
     "d43-n7-wsi-eps0.45": ("d43", 7, "wsi", 6, ["--eps", "0.45"]),
