@@ -4,8 +4,14 @@ Each entry runs one campaign in-process through `cli.main` and records the
 sha256 of the CSV and of the summary JSON it writes. The configurations are
 those of the benchmark's campaign workloads (copied here, not imported) at two
 master seeds each, plus csi and wsi campaigns the size guard refuses trial by
-trial, csi campaigns whose eps leaves a dead block in some trials, and wsi
-campaigns whose eps leaves pairs of assignments undecided or dead.
+trial, csi campaigns whose eps leaves a dead block in some trials, wsi
+campaigns whose eps leaves pairs of assignments undecided or dead, and csi
+campaigns whose grids count no inter block (every axis full, or some cut by
+its intra block).
+
+A second table records `commatch match` on instances sampled in-process with
+contiguous and alternating community layouts: the exit code of each run, and
+the sha256 of the document wherever it exits 0.
 
 Regenerate the committed file with
 
@@ -27,8 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from commatch.cli import main
-from commatch.model import (copy_joint, dsbs_joint, homogeneous_model, save_model,
-                            uniform_product_joint)
+from commatch.graphgen import anonymize, sample_pair, save_instance
+from commatch.model import (CommunityLayout, copy_joint, dsbs_joint, homogeneous_model,
+                            save_model, uniform_product_joint)
 
 GOLDEN = Path(__file__).with_name("golden_campaigns.json")
 SEEDS = (0, 2**40 + 7)
@@ -43,6 +50,8 @@ MODELS = {
     "d33": (dsbs_joint(0.1), (3, 3)),
     "d43": (dsbs_joint(0.1), (4, 3)),
     "d222": (dsbs_joint(0.1), (2, 2, 2)),
+    "copy444": (copy_joint(2), (4, 4, 4)),
+    "copy77": (copy_joint(2), (7, 7)),
 }
 
 # name -> (model, n, mode, trials, extra flags)
@@ -72,7 +81,26 @@ CAMPAIGNS = {
     "d222-n6-wsi-eps0.6": ("d222", 6, "wsi", 6, ["--eps", "0.6"]),
     # 720 labelings x 20 assignments: every trial is refused
     "d33-n6-wsi-cap1000": ("d33", 6, "wsi", 6, ["--cap", "1000"]),
+    # grids that count no inter block: three full axes; two full axes of
+    # 5,040 rows under a raised cap; and at eps 0.45 most trials are dead,
+    # some count an inter block, and a few (trials 8 and 22 at seed 0, 22
+    # and 24 at the other) cut axes by their intra blocks and count nothing
+    "copy444-n12": ("copy444", 12, "csi", 5, []),
+    "copy77-n14-cap3e7": ("copy77", 14, "csi", 2, ["--cap", "30000000"]),
+    "d3333-n12-eps0.45": ("d3333", 12, "csi", 40, ["--eps", "0.45"]),
 }
+
+# `match` documents: name -> (sizes, label-side membership); each is run at
+# every eps of MATCH_EPS on the instance dsbs(0.1) draws with seed 0
+MATCHES = {
+    "33": ((3, 3), (0, 0, 0, 1, 1, 1)),
+    "33-alt": ((3, 3), (0, 1, 0, 1, 0, 1)),
+    "44": ((4, 4), (0, 0, 0, 0, 1, 1, 1, 1)),
+    "44-alt": ((4, 4), (0, 1, 0, 1, 0, 1, 0, 1)),
+    "222": ((2, 2, 2), (0, 0, 1, 1, 2, 2)),
+    "222-alt": ((2, 2, 2), (0, 1, 2, 0, 1, 2)),
+}
+MATCH_EPS = ("1.0", "auto", "0.3")
 
 
 def campaign_digests(work: Path) -> dict[str, dict[str, str]]:
@@ -94,15 +122,39 @@ def campaign_digests(work: Path) -> dict[str, dict[str, str]]:
     return out
 
 
+def match_digests(work: Path) -> dict[str, dict]:
+    """Exit code of every golden `match` run, with the sha256 of its document
+    wherever the code is 0."""
+    out = {}
+    for name, (sizes, membership) in MATCHES.items():
+        model, _ = homogeneous_model(dsbs_joint(0.1), sizes)
+        layout = CommunityLayout(sizes=sizes, membership=membership)
+        inst = anonymize(sample_pair(model, layout, 0), "csi", 0)
+        path = work / f"{name}.instance.json"
+        save_instance(inst, path)
+        for eps in MATCH_EPS:
+            doc = work / "match.json"
+            doc.unlink(missing_ok=True)
+            code = main(["match", "--input", str(path), "--eps", eps, "--seed", "3",
+                         "--out", str(doc)])
+            entry = {"exit": code}
+            if code == 0:
+                entry["json"] = hashlib.sha256(doc.read_bytes()).hexdigest()
+            out[f"{name}/eps{eps}"] = entry
+    return out
+
+
 def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def write_golden() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {"versions": versions(), "campaigns": campaign_digests(Path(tmp))}
+        doc = {"versions": versions(), "campaigns": campaign_digests(Path(tmp)),
+               "matches": match_digests(Path(tmp))}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc['campaigns'])} campaign digests to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(doc['campaigns'])} campaign and {len(doc['matches'])} match "
+          f"digests to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

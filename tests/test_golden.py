@@ -2,13 +2,25 @@ import json
 
 import pytest
 
-from golden_campaigns import GOLDEN, campaign_digests, versions
+from golden_campaigns import GOLDEN, campaign_digests, match_digests, versions
+
+
+def _moved(want: dict, got: dict) -> list[str]:
+    """Entries whose digests differ, and entries only one side holds."""
+    return sorted(k for k in want.keys() | got.keys() if got.get(k) != want.get(k))
+
+
+def _check(table: str, digests) -> None:
+    doc = json.loads(GOLDEN.read_text())
+    moved = _moved(doc[table], digests)
+    if moved and doc["versions"] != versions():
+        pytest.skip(f"digests from {doc['versions']}, running {versions()}: {moved}")
+    assert moved == []
 
 
 def test_campaign_digests_match_the_golden_file(tmp_path):
-    doc = json.loads(GOLDEN.read_text())
-    got = campaign_digests(tmp_path)
-    moved = sorted(k for k in doc["campaigns"] if got.get(k) != doc["campaigns"][k])
-    if moved and doc["versions"] != versions():
-        pytest.skip(f"digests from {doc['versions']}, running {versions()}: {moved}")
-    assert moved == [] and sorted(got) == sorted(doc["campaigns"])
+    _check("campaigns", campaign_digests(tmp_path))
+
+
+def test_match_digests_match_the_golden_file(tmp_path):
+    _check("matches", match_digests(tmp_path))
