@@ -36,7 +36,7 @@ from .errors import (CommatchError, EmptyAmbiguitySetError, ParameterError,
                      SizeGuardError, ValidationError)
 from .graphgen import anonymize, parse_instance, sample_pair, sample_pairs, save_instance
 from .matcher import DEFAULT_CANDIDATE_CAP, match_instances, run_matching
-from .model import CommunityLayout, load_model, parse_model, read_file
+from .model import CommunityLayout, load_model, parse_model, read_file, write_file
 from .oracle import exact_typicality_probability
 from .permutation import (Permutation, cycle_parameter_space,
                           standard_permutation, to_one_based)
@@ -70,8 +70,7 @@ def _json_text(doc: dict) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_file(out, text, "output")
     else:
         sys.stdout.write(text)
 
@@ -91,6 +90,12 @@ def _finite(name: str, value: Optional[float]) -> Optional[float]:
     if value is not None and not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value}")
     return value
+
+
+def _check_cap(cap: int) -> None:
+    """Refuse a candidate cap below 1, which no job could meet."""
+    if cap < 1:
+        raise ParameterError(f"cap must be >= 1, got {cap}")
 
 
 def _resolve_eps(eps: Optional[float], n: int, kappa: float) -> float:
@@ -164,6 +169,7 @@ def run_campaign(cfg: ExperimentConfig,
     """
     if cfg.trials < 1:
         raise ParameterError(f"trial count must be >= 1, got {cfg.trials}")
+    _check_cap(cfg.cap)
     if model_bytes is None:
         model_bytes = read_file(cfg.model_path, "model")
     model, base_layout = parse_model(model_bytes)
@@ -237,6 +243,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    _check_cap(args.cap)
     data, digest = _read_hashed(args.input, "instance")
     inst = parse_instance(data, mode=args.mode)
     eps = _resolve_eps(args.eps, inst.n, args.kappa)

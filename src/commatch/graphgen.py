@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .model import (CommunityLayout, PairedEdgeModel, _is_int, model_from_document,
-                    parse_json_document, read_file)
+                    parse_json_document, read_file, write_file)
 from .permutation import Labeling, from_one_based, to_one_based
 from .typicality import block_slots
 
@@ -260,9 +260,7 @@ def save_instance(inst: MatchingInstance, path, extra: Optional[dict] = None) ->
     }
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_file(path, json.dumps(doc, sort_keys=True) + "\n", "instance")
 
 
 def _ut_violations(flat, key: str, n: int, l: int) -> list[str]:

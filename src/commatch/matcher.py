@@ -61,23 +61,28 @@ per `match_instances` call in either mode; the wsi pair fold and count share
 it. Every count is checked against its window in one place, `_within`, so
 the decisions agree with the scalar test bit for bit.
 
-An ambiguity set is a boolean mask over a grid of candidates: one axis per
-community for csi, over that community's intra survivors in lex order, and
-one axis over all n! labelings for wsi. Canonical member order is
-lexicographic by the inverse mapping (label -> anonymized vertex):
+An ambiguity set is a grid of candidates: one axis per community for csi,
+over that community's intra survivors in lex order, and one axis over all n!
+labelings for wsi. A grid that counted an inter block (and every wsi grid)
+holds a boolean mask of its survivors; any other csi grid, whose inter blocks
+all pass on their margins (full, intra-cut or dead alike), is a product grid:
+every cell of its axes survives and no mask is built. Canonical member order
+is lexicographic by the inverse mapping (label -> anonymized vertex):
 row-major grid order when label communities are contiguous (always for wsi),
 else the order of the survivors' sorted small-int rows. Size, membership and
-seeded selection decode at most one member; iteration decodes lazily.
+seeded selection decode at most one member; on a product grid they read the
+axes alone, as Python ints over the labels. Iteration decodes lazily.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -97,13 +102,15 @@ class _Grid:
 
     perms[i] holds the rows of `_perm_table(k_i)` whose lex ranks are
     ranks[i], ascending, or the shared table itself where ranks[i] is None.
+    mask marks the survivors among the cells; None makes a product grid,
+    whose every cell survives.
     """
 
     labels_of: list[np.ndarray]
     verts_of: list[np.ndarray]
     perms: list[np.ndarray]  # per axis, (R_i, k_i), lex order
     ranks: list[Optional[np.ndarray]]
-    mask: np.ndarray         # bool, shape (R_1, ..., R_c): the survivors
+    mask: Optional[np.ndarray]  # bool, shape (R_1, ..., R_c), or None: every cell
 
 
 # Members decoded per step of AmbiguitySet iteration; mask cells left to list
@@ -113,12 +120,15 @@ _SET_CHUNK = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class AmbiguitySet:
-    """Labelings that survived the typicality test: a mask over a grid.
+    """Labelings that survived the typicality test: the cells of a grid that
+    its mask keeps, or all of them on a product grid.
 
     Iteration yields the members in canonical order; len, `in` and
-    select_labeling decode at most one of them. candidate_space counts the
-    hypotheses examined: prod_i n_i! (csi) or n! times the number of
-    assignments with the declared community sizes (wsi).
+    select_labeling decode at most one of them, and on a product grid read
+    its axes alone: len is the product of the axis lengths and `in` the
+    truth's grid coordinates. candidate_space counts the hypotheses
+    examined: prod_i n_i! (csi) or n! times the number of assignments with
+    the declared community sizes (wsi).
     """
 
     grid: _Grid
@@ -128,6 +138,8 @@ class AmbiguitySet:
 
     @cached_property
     def _size(self) -> int:
+        if self.grid.mask is None:
+            return math.prod(len(p) for p in self.grid.perms)
         return int(np.count_nonzero(self.grid.mask))
 
     def __len__(self) -> int:
@@ -140,7 +152,7 @@ class AmbiguitySet:
 
     def __contains__(self, lab: Labeling) -> bool:
         idx = _truth_index(self.grid, lab)
-        return idx is not None and bool(self.grid.mask[idx])
+        return idx is not None and (self.grid.mask is None or bool(self.grid.mask[idx]))
 
 
 # -- csi fast path ------------------------------------------------------------
@@ -209,12 +221,15 @@ def _pair_cells(k: int) -> np.ndarray:
     return cells
 
 
-def _lex_rank(rho: np.ndarray) -> int:
-    """Lex rank of a permutation of range(len(rho)), from its Lehmer code."""
-    rho = rho.tolist()  # a Python loop: per-element numpy calls cost ~4x more
+def _lex_rank(rho: Sequence[int]) -> int:
+    """Lex rank of the order of rho's distinct entries (of a permutation of
+    range(len(rho)), say), from its Lehmer code."""
+    rest = sorted(rho)  # the entries not yet placed, ascending
     rank = 0
-    for q, v in enumerate(rho):
-        rank = rank * (len(rho) - q) + sum(w < v for w in rho[q + 1:])
+    for v in rho:  # its Lehmer digit: the entries after it that are smaller
+        at = bisect_left(rest, v)
+        rank = rank * len(rest) + at
+        del rest[at]
     return rank
 
 
@@ -453,8 +468,7 @@ def _csi_grids(insts: Sequence[MatchingInstance], eps: float, cap: int
         if dead[t]:  # no candidate passes: every axis keeps no row, and no block is counted
             yield _Grid(labels_of=labels_of, verts_of=verts_of,
                         perms=[_perm_table(len(g))[:0] for g in labels_of],
-                        ranks=[np.zeros(0, dtype=np.intp)] * c,
-                        mask=np.ones((0,) * c, dtype=bool))
+                        ranks=[np.zeros(0, dtype=np.intp)] * c, mask=None)
             continue
         todo = [(int(iu[b]), int(ju[b]),
                  {key: (int(wlo[t, b]), int(whi[t, b])) for key, (wlo, whi) in windows.items()
@@ -466,7 +480,9 @@ def _csi_grids(insts: Sequence[MatchingInstance], eps: float, cap: int
 def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
                   verts_of: list[np.ndarray], todo: list[tuple[int, int, dict]]) -> _Grid:
     """The grid of an instance none of whose blocks is dead on its margins,
-    from its undecided blocks todo: (i, j, binding windows) each."""
+    from its undecided blocks todo: (i, j, binding windows) each. Only a grid
+    that counts an inter block holds a mask; any other is the product of its
+    axes, however its intra blocks cut them."""
     c = len(labels_of)
     perms = [_perm_table(len(g)) for g in labels_of]
     ranks: list[Optional[np.ndarray]] = [None] * c
@@ -487,9 +503,11 @@ def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
             perms[i] = perms[i][ranks[i]]
             if not len(ranks[i]):
                 break
-    mask = np.ones(tuple(len(p) for p in perms), dtype=bool)
-    for i, j, binding in todo:
-        if i != j and mask.size:  # an axis that kept nothing leaves no pair
+    inter = [(i, j, binding) for i, j, binding in todo if i != j]
+    mask = None
+    if inter and all(len(p) for p in perms):  # an axis that kept nothing leaves no pair
+        mask = np.ones(tuple(len(p) for p in perms), dtype=bool)
+        for i, j, binding in inter:
             a, v = values(i, j)
             m = _inter_mask(a, v, _onehot_rows(a.shape[0], ranks[i]),
                             _onehot_rows(a.shape[1], ranks[j]), binding)
@@ -519,16 +537,20 @@ def _grid_rows(grid: _Grid, idx: np.ndarray) -> np.ndarray:
 
 
 def _truth_index(grid: _Grid, truth: Labeling) -> Optional[tuple[int, ...]]:
-    """Grid coordinates of a labeling, None when it is not in the grid."""
-    tinv = np.asarray(truth.inverse().mapping)
+    """Grid coordinates of a labeling, None when it is not in the grid.
+
+    Python ints throughout: an axis holds a few labels, and a numpy call per
+    axis costs more than the loop."""
+    tinv = truth.inverse().mapping
     idx = []
     for labels, verts, kept in zip(grid.labels_of, grid.verts_of, grid.ranks):
-        vs = tinv[labels]
-        if not np.array_equal(np.sort(vs), verts):
+        vs = [tinv[a] for a in labels.tolist()]
+        if sorted(vs) != verts.tolist():
             return None
-        rank = _lex_rank(np.searchsorted(verts, vs))  # positions within the axis
+        # the vertices order as their positions within the ascending axis do
+        rank = _lex_rank(vs)
         if kept is not None:  # the axis keeps some ranks: find rank among them
-            at = int(np.searchsorted(kept, rank))
+            at = bisect_left(kept, rank)
             if at == len(kept) or kept[at] != rank:
                 return None
             rank = at
@@ -537,14 +559,24 @@ def _truth_index(grid: _Grid, truth: Labeling) -> Optional[tuple[int, ...]]:
 
 
 def _contiguous(grid: _Grid) -> bool:
-    """Whether row-major grid order is canonical (axis labels run 0..n-1)."""
-    labels = np.concatenate(grid.labels_of)
-    return np.array_equal(labels, np.arange(len(labels)))
+    """Whether row-major grid order is canonical (axis labels run 0..n-1):
+    each axis's ascending labels run on from the previous axis's."""
+    start = 0
+    for labels in grid.labels_of:
+        k = len(labels)
+        if k and (labels[0] != start or labels[k - 1] != start + k - 1):
+            return False
+        start += k
+    return True
 
 
 def _sorted_cells(grid: _Grid) -> np.ndarray:
     """Coordinates of the survivors, (|S|, axes), in canonical order."""
-    cells = np.argwhere(grid.mask)
+    if grid.mask is None:  # every cell, row-major
+        shape = tuple(len(p) for p in grid.perms)
+        cells = np.indices(shape).reshape(len(shape), -1).T
+    else:
+        cells = np.argwhere(grid.mask)
     if _contiguous(grid):
         return cells
     rows = _grid_rows(grid, cells)
@@ -552,25 +584,39 @@ def _sorted_cells(grid: _Grid) -> np.ndarray:
 
 
 def _member_at(grid: _Grid, k: int, size: int) -> Labeling:
-    """The k-th of the grid's size survivors in canonical order. On a full
-    contiguous grid it is cell k; on another contiguous grid it is found by
-    halving the range on survivor counts, without listing every survivor."""
-    if _contiguous(grid):
+    """The k-th of the grid's size survivors in canonical order. On a
+    contiguous grid whose every cell survives it is cell k, a mixed-radix
+    decode of k over the axis lengths; on another contiguous grid the cell is
+    found by halving the range on survivor counts, without listing every
+    survivor."""
+    if not _contiguous(grid):
+        return _decode_cell(grid, _sorted_cells(grid)[k].tolist())
+    if grid.mask is not None and size != grid.mask.size:
         flat = grid.mask.reshape(-1)
         lo, hi = 0, flat.size
-        if size != flat.size:
-            while hi - lo > _SET_CHUNK:
-                mid = (lo + hi) // 2
-                left = np.count_nonzero(flat[lo:mid])
-                if k < left:
-                    hi = mid
-                else:
-                    lo, k = mid, k - left
-            k = np.flatnonzero(flat[lo:hi])[k]
-        cell = np.unravel_index(lo + k, grid.mask.shape)
-    else:
-        cell = _sorted_cells(grid)[k]
-    return _decode(_grid_rows(grid, np.asarray([cell])))[0]
+        while hi - lo > _SET_CHUNK:
+            mid = (lo + hi) // 2
+            left = np.count_nonzero(flat[lo:mid])
+            if k < left:
+                hi = mid
+            else:
+                lo, k = mid, k - left
+        k = lo + int(np.flatnonzero(flat[lo:hi])[k])
+    cell = []
+    for p in reversed(grid.perms):
+        k, r = divmod(k, len(p))
+        cell.append(r)
+    return _decode_cell(grid, cell[::-1])
+
+
+def _decode_cell(grid: _Grid, cell: Sequence[int]) -> Labeling:
+    """The labeling at one grid cell, on Python ints."""
+    mapping = [0] * sum(len(g) for g in grid.labels_of)  # vertex -> label
+    for labels, verts, perms, r in zip(grid.labels_of, grid.verts_of, grid.perms, cell):
+        verts = verts.tolist()
+        for a, q in zip(labels.tolist(), perms[r].tolist()):
+            mapping[verts[q]] = a
+    return Permutation(tuple(mapping))
 
 
 # -- public constructors ------------------------------------------------------
@@ -747,7 +793,8 @@ def _wsi_count(inst: MatchingInstance, asg: np.ndarray, rows: np.ndarray,
 
 
 def _wsi_mask(inst: MatchingInstance, asg: np.ndarray, passes: np.ndarray, undecided: bool,
-              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+              lo: np.ndarray, hi: np.ndarray,
+              walk_tables: Callable[[], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """bool[n!], in lex label -> vertex order: is the labeling typical under
     some assignment of asg, the labels' assignments with the instance's
     community sizes? passes and undecided are the instance's `_wsi_pairs`.
@@ -759,18 +806,14 @@ def _wsi_mask(inst: MatchingInstance, asg: np.ndarray, passes: np.ndarray, undec
     at a time over the labelings still left, keeps those it meets on a
     passing pair and stops when none is left. If some pair is undecided,
     every labeling left is counted; otherwise the labelings left met dead
-    pairs only and are out.
+    pairs only and are out. walk_tables() gives the assignments' codes and
+    the (n!, n) table of c^(n-1-perms[r, u]), read-only; only a walk asks.
     """
-    perms = _perm_table(inst.n)
-    ok = np.zeros(len(perms), dtype=bool)
-    left = np.arange(len(perms))
+    ok = np.zeros(math.factorial(inst.n), dtype=bool)
+    left = np.arange(len(ok))
     walk = np.flatnonzero(passes.any(axis=1)).tolist()
-    if walk:  # the walk's weights table is n! x n float64: built only for a walk
-        # codes are below c^n < 2^53 for every n whose labeling table fits in
-        # memory, so float64 products are exact
-        weights = float(inst.c) ** np.arange(inst.n - 1, -1, -1)
-        codes = asg @ weights
-        left_weights = weights[perms]  # c^(n-1-perms[r, u]) of the labelings left
+    if walk:
+        codes, left_weights = walk_tables()
     for a in walk:
         hit = passes[a, np.searchsorted(codes, left_weights @ asg[a])]
         ok[left[hit]] = True
@@ -806,9 +849,23 @@ def _wsi_sets(insts: Sequence[MatchingInstance], eps: float, cap: int
     slots = _slot_counts(sizes)
     lo, hi = count_windows(first.model.joint[iu, ju], eps, slots[:, None, None])
     everyone = np.arange(first.n)
+
+    @lru_cache(maxsize=None)
+    def walk_tables() -> tuple[np.ndarray, np.ndarray]:
+        """The walk's codes and weights, built when the call's first instance
+        walks and shared by the rest: the weights table is n! x n float64
+        (290 MB at n = 10), so it is not kept past the call. Codes are below
+        c^n < 2^53 for every n whose labeling table fits in memory, so float64
+        products are exact."""
+        weights = float(first.c) ** np.arange(first.n - 1, -1, -1)
+        table = weights[_perm_table(first.n)]
+        table.setflags(write=False)
+        return asg @ weights, table
+
     for inst, (passes, undecided) in zip(insts, _wsi_pairs(insts, asg, slots, lo, hi)):
+        mask = _wsi_mask(inst, asg, passes, undecided, lo, hi, walk_tables)
         grid = _Grid(labels_of=[everyone], verts_of=[everyone], perms=[_perm_table(inst.n)],
-                     ranks=[None], mask=_wsi_mask(inst, asg, passes, undecided, lo, hi))
+                     ranks=[None], mask=mask)
         yield AmbiguitySet(grid, eps, "wsi", labelings * count)
 
 

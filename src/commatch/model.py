@@ -238,6 +238,16 @@ def read_file(path, kind: str) -> bytes:
         raise ValidationError([f"cannot read {kind} file: {e}"]) from None
 
 
+def write_file(path, text: str, kind: str) -> None:
+    """Write text to a file; an unwritable path raises ValidationError
+    instead of leaking OSError to callers, as `read_file` does."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValidationError([f"cannot write {kind} file: {e}"]) from None
+
+
 def parse_json_document(data: bytes, kind: str) -> dict:
     """The JSON object in a file's UTF-8 bytes; malformed bytes raise
     ValidationError instead of leaking a decode error to callers."""
@@ -299,6 +309,4 @@ def save_model(model: PairedEdgeModel, layout: CommunityLayout, path) -> None:
         "communities": list(layout.sizes),
         "joint": model.joint.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_file(path, json.dumps(doc, sort_keys=True) + "\n", "model")

@@ -374,13 +374,19 @@ MALFORMED_NUMBERS = [
                   "--out", "{out}"], id="campaign-kappa"),
     pytest.param(["match", "--input", "{inst}", "--eps", "nan"], id="match-eps"),
     pytest.param(["match", "--input", "{inst}", "--eps", "inf"], id="match-eps-inf"),
+    pytest.param(["match", "--input", "{inst}", "--cap", "0"], id="match-cap-0"),
+    pytest.param(["match", "--input", "{inst}", "--cap", "-5"], id="match-cap-neg"),
+    pytest.param(["campaign", "--model", "{c2}", "--n", "6", "--trials", "2", "--cap", "0",
+                  "--out", "{out}"], id="campaign-cap-0"),
+    pytest.param(["campaign", "--model", "{c2}", "--n", "6", "--trials", "2", "--cap", "-5",
+                  "--out", "{out}"], id="campaign-cap-neg"),
 ]
 
 
 @pytest.mark.parametrize("argv", MALFORMED_NUMBERS)
 def test_malformed_numbers_are_parameter_errors(tmp_path, model_c1, model_c2, capsys, argv):
-    # non-finite eps, kappa and grid values and non-integer n values exit 2
-    # before writing anything
+    # non-finite eps, kappa and grid values, non-integer n values and caps
+    # below 1 exit 2 before writing anything
     inst = tmp_path / "inst.json"
     assert main(["generate", "--model", model_c2, "--out", str(inst)]) == 0
     out = tmp_path / "camp"
@@ -404,6 +410,36 @@ def test_unreadable_files_are_validation_errors(tmp_path, capsys):
     assert main(["generate", "--model", str(arr), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "cannot read" in err and "not valid JSON" in err
+
+
+UNWRITABLE_OUT = [
+    pytest.param(["generate", "--model", "{c2}", "--out", "{out}"], id="generate"),
+    pytest.param(["match", "--input", "{inst}", "--out", "{out}"], id="match"),
+    pytest.param(["campaign", "--model", "{c2}", "--n", "6", "--trials", "2", "--out", "{out}"],
+                 id="campaign"),
+    pytest.param(["region", "--model", "{c2}", "--n", "10", "--out", "{out}"], id="region"),
+    pytest.param(["converse", "--model", "{c2}", "--n", "10", "--out", "{out}"], id="converse"),
+    pytest.param(["verify", "--check", "prop1", "--model", "{c1}", "--n", "4", "--eps", "0.3",
+                  "--out", "{out}"], id="verify"),
+    pytest.param(["scan", "--model", "{c2}", "--n-list", "10", "--out", "{out}"], id="scan"),
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUT)
+def test_unwritable_out_is_a_validation_error(tmp_path, model_c1, model_c2, capsys, argv):
+    # an --out path under a missing directory exits 2 with one line, not a
+    # traceback
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--model", model_c2, "--out", str(inst)]) == 0
+    out = tmp_path / "missing" / "x"
+    argv = [a.format(c1=model_c1, c2=model_c2, inst=inst, out=out) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line.startswith("invalid input:")]
+    assert len(lines) == 1 and lines[0].startswith("invalid input: cannot write "), captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not (tmp_path / "missing").exists()
 
 
 def test_campaign_outputs(tmp_path, model_c2):

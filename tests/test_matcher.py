@@ -68,6 +68,14 @@ def _labeling_at(grid, idx):
     return matcher._decode(matcher._grid_rows(grid, np.asarray([idx])))[0]
 
 
+def _mask(grid):
+    """The grid's survivors as a bool array: its mask, or every cell of a
+    product grid, materialized."""
+    if grid.mask is None:
+        return np.ones(tuple(len(p) for p in grid.perms), dtype=bool)
+    return grid.mask
+
+
 def _blocks(inst, sigma):
     return paired_blocks(inst.g1_values, inst.comm1_of_label, inst.g2_values,
                          sigma.inverse().mapping, inst.comm2_of_vertex, inst.c)
@@ -169,7 +177,7 @@ def test_csi_grid_keeps_float_boundary_counts():
         idx = tuple(int(rng.integers(len(p))) for p in grid.perms)
         blocks = _blocks(inst, _labeling_at(grid, idx))
         typical = blocks_jointly_typical(blocks, inst.model.joint, 0.3)
-        assert grid.mask[idx] == typical
+        assert _mask(grid)[idx] == typical
         counts = joint_type(*blocks[(0, 1)], shape=(2, 2))
         on_boundary += typical and 5 in (counts[0, 0], counts[1, 1])
     assert on_boundary > 0
@@ -315,7 +323,7 @@ def test_dead_block_gives_pruned_empty_grid(monkeypatch):
     assert dead
     _refuse_counting(monkeypatch)
     s = ambiguity_set_csi(inst, eps=0.3)
-    assert s.grid.mask.shape == (0, 0, 0, 0) and not s.grid.mask.any()  # no axis keeps a row
+    assert _mask(s.grid).shape == (0, 0, 0, 0) and not _mask(s.grid).any()  # no axis keeps a row
     assert s.candidate_space == 6 ** 4 and len(s) == 0
     assert not _typical(inst, inst.sealed_truth(), 0.3)
     assert inst.sealed_truth() not in s
@@ -353,7 +361,7 @@ def test_inter_blocks_count_intra_survivors_only(monkeypatch, seed, sizes, joint
     s = ambiguity_set_csi(inst, eps=0.3)
     ((e_0, e_1),) = seen
     kept = [_intra_survivors(inst, 0.3, i) for i in range(2)]
-    assert s.grid.mask.shape == tuple(len(k) for k in kept)
+    assert _mask(s.grid).shape == tuple(len(k) for k in kept)
     assert any(0 < len(k) < math.factorial(n) for k, n in zip(kept, sizes))
     for i, (k, e) in enumerate(zip(sizes, (e_0, e_1))):
         if s.grid.ranks[i] is None:
@@ -376,7 +384,7 @@ def test_an_axis_without_intra_survivors_empties_the_set(monkeypatch):
 
     monkeypatch.setattr(matcher, "_inter_mask", refuse)
     s = ambiguity_set_csi(inst, eps=0.15)
-    assert len(s) == 0 and list(s) == [] and s.grid.mask.shape[1] == 0
+    assert len(s) == 0 and list(s) == [] and _mask(s.grid).shape[1] == 0
     assert s.candidate_space == math.factorial(5) ** 2
     assert inst.sealed_truth() not in s
     with pytest.raises(EmptyAmbiguitySetError):
@@ -896,7 +904,7 @@ def _random_mask_set(sizes, membership, seed):
         return _one_axis_set(5, rng.random(120) < 0.3)
     grid = _csi_grid(_instance(seed, sizes=sizes, membership=membership), 1.0,
                      DEFAULT_CANDIDATE_CAP)
-    grid = dataclasses.replace(grid, mask=rng.random(grid.mask.shape) < 0.3)
+    grid = dataclasses.replace(grid, mask=rng.random(_mask(grid).shape) < 0.3)
     return AmbiguitySet(grid, 1.0, "csi", grid.mask.size)
 
 
@@ -937,8 +945,8 @@ def test_member_at_on_a_full_grid_is_the_cell(monkeypatch):
     monkeypatch.setattr(matcher, "_SET_CHUNK", 5)
     s = ambiguity_set_csi(_instance(seed=2, sizes=(2, 3)), eps=1.0)
     members = list(s)
-    assert len(members) == s.grid.mask.size == 12
-    partial = dataclasses.replace(s.grid, mask=s.grid.mask.copy())
+    assert len(members) == _mask(s.grid).size == 12
+    partial = dataclasses.replace(s.grid, mask=_mask(s.grid).copy())
     partial.mask[0, 0] = False  # one survivor short: found by halving
     for k, member in enumerate(members):
         assert matcher._member_at(s.grid, k, len(s)) == member
@@ -962,27 +970,34 @@ def test_run_matching_counts_survivors_once(monkeypatch):
 
     monkeypatch.setattr(matcher, "_csi_grids", building)
     monkeypatch.setattr(np, "count_nonzero", counting)
-    for eps in (1.0, 0.3):  # a full grid, then a pruned partial one
+    for eps, product in ((1.0, True), (0.3, False)):  # a full grid, then a pruned partial one
         grids.clear()
         counts.clear()
         res = run_matching(inst, eps=eps, seed=3)
         (grid,) = grids
-        assert counts.count(grid.mask.size) == 1, eps
-        assert 0 < res.diagnostics.ambiguity_size <= grid.mask.size
+        assert (grid.mask is None) == product, eps
+        # a product grid counts nothing, and a masked grid counts once
+        assert counts.count(_mask(grid).size) == (0 if product else 1), eps
+        assert 0 < res.diagnostics.ambiguity_size <= _mask(grid).size
         assert res.diagnostics.candidate_space == math.factorial(4) ** 2
-    assert grid.mask.size < math.factorial(4) ** 2
-    assert res.diagnostics.ambiguity_size < grid.mask.size
+    assert _mask(grid).size < math.factorial(4) ** 2
+    assert res.diagnostics.ambiguity_size < _mask(grid).size
 
 
 def test_len_in_and_select_decode_at_most_one_row(monkeypatch):
     decoded = []
-    decode = matcher._decode
+    decode, decode_cell = matcher._decode, matcher._decode_cell
 
     def counting(rows):
         decoded.append(len(rows))
         return decode(rows)
 
+    def counting_cell(grid, cell):
+        decoded.append(1)
+        return decode_cell(grid, cell)
+
     monkeypatch.setattr(matcher, "_decode", counting)
+    monkeypatch.setattr(matcher, "_decode_cell", counting_cell)
     inst = _instance(seed=5, sizes=(4, 4), membership=(0, 1, 0, 1, 0, 1, 0, 1))
     s = ambiguity_set_csi(inst, eps=1.0)
     assert len(s) == math.factorial(4) ** 2
@@ -991,6 +1006,85 @@ def test_len_in_and_select_decode_at_most_one_row(monkeypatch):
     assert decoded == []
     select_labeling(s, seed=3)
     assert decoded == [1]
+
+
+# -- product grids ----------------------------------------------------------------
+
+PRODUCT_LAYOUTS = [
+    ((2, 3), None),
+    ((2, 3), (0, 1, 1, 0, 1)),
+    ((3, 3), None),
+    ((3, 3), (0, 1, 0, 1, 0, 1)),
+    ((2, 2, 2), None),
+    ((2, 2, 2), (0, 1, 2, 0, 1, 2)),
+]
+
+
+def _product_grid(sizes, membership, cut):
+    """The eps = 1 grid of a dsbs(0.2) instance, a product grid, with axes cut
+    to some of their lex ranks as an intra block would: cut "full" keeps every
+    axis whole, "cut" keeps the odd ranks of axis 0, "cut-all" those of every
+    axis, and "empty" keeps nothing on the last axis."""
+    grid = _csi_grid(_instance(2, sizes=sizes, membership=membership), 1.0,
+                     DEFAULT_CANDIDATE_CAP)
+    assert grid.mask is None and grid.ranks == [None] * len(sizes)
+    keep = {"full": [None] * len(sizes),
+            "cut": [range(1, math.factorial(sizes[0]), 2)] + [None] * (len(sizes) - 1),
+            "cut-all": [range(1, math.factorial(k), 2) for k in sizes],
+            "empty": [None] * (len(sizes) - 1) + [[]]}[cut]
+    ranks = [None if r is None else np.asarray(r, dtype=np.intp) for r in keep]
+    perms = [_perm_table(k) if r is None else _perm_table(k)[r] for k, r in zip(sizes, ranks)]
+    return dataclasses.replace(grid, perms=perms, ranks=ranks)
+
+
+@pytest.mark.parametrize("sizes,membership", PRODUCT_LAYOUTS)
+@pytest.mark.parametrize("cut", ["full", "cut", "cut-all", "empty"])
+def test_product_grid_set_equals_its_materialized_mask(sizes, membership, cut):
+    grid = _product_grid(sizes, membership, cut)
+    space = math.prod(math.factorial(k) for k in sizes)
+    product = AmbiguitySet(grid, 1.0, "csi", space)
+    masked = AmbiguitySet(dataclasses.replace(grid, mask=_mask(grid)), 1.0, "csi", space)
+    assert len(product) == len(masked) == math.prod(len(p) for p in grid.perms)
+    assert (len(product) == 0) == (cut == "empty")
+    inst = _instance(2, sizes=sizes, membership=membership)
+    inside = [sigma in masked for sigma in _preserving(inst)]
+    assert [sigma in product for sigma in _preserving(inst)] == inside
+    assert sum(inside) == len(masked)
+    members = list(masked)
+    assert list(product) == members
+    assert [matcher._member_at(product.grid, k, len(product))
+            for k in range(len(product))] == members
+
+
+@pytest.mark.parametrize("sizes,membership", [((3, 3), None), ((3, 3), (0, 1, 0, 1, 0, 1)),
+                                              ((2, 2, 2), None), ((2, 2, 2), (0, 1, 2, 0, 1, 2))])
+@pytest.mark.parametrize("cut", ["full", "cut", "cut-all"])
+def test_truth_index_equals_brute_force_lookup(sizes, membership, cut):
+    # every cell decoded by the array path, then every one of the 720
+    # labelings of n = 6 looked up among them
+    grid = _product_grid(sizes, membership, cut)
+    cells = {_labeling_at(grid, tuple(c)): tuple(c) for c in np.argwhere(_mask(grid))}
+    assert len(cells) == math.prod(len(p) for p in grid.perms)
+    for mapping in itertools.permutations(range(6)):
+        sigma = Permutation(mapping)
+        assert _truth_index(grid, sigma) == cells.get(sigma), mapping
+
+
+def test_default_schedule_copy_66_builds_no_mask():
+    # every block passes on its margins: the (6,6) grid is the product of
+    # its two 720-row axes, and no 518,400-cell mask is allocated
+    inst = _instance(seed=0, sizes=(6, 6), joint=copy_joint(2))
+    want = run_matching(inst, seed=11)  # warms the shared tables
+    assert _csi_grid(inst, default_epsilon(12), DEFAULT_CANDIDATE_CAP).mask is None
+    tracemalloc.start()
+    try:
+        res = run_matching(inst, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.labeling == want.labeling
+    assert res.diagnostics.ambiguity_size == math.factorial(6) ** 2
+    assert peak < math.factorial(6) ** 2, peak
 
 
 @pytest.mark.parametrize("mode", ["csi", "wsi"])
