@@ -13,6 +13,11 @@ A second table records `commatch match` on instances sampled in-process with
 contiguous and alternating community layouts: the exit code of each run, and
 the sha256 of the document wherever it exits 0.
 
+A third table records the help and usage texts: the exit code and the sha256
+of stdout for `--help` and each subcommand's `--help`, and of stderr for a few
+argument errors, with COLUMNS pinned to 80 because argparse wraps help text to
+the terminal width.
+
 Regenerate the committed file with
 
     PYTHONPATH=src python tests/golden_campaigns.py
@@ -23,8 +28,11 @@ that moved, in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import platform
 import sys
 import tempfile
@@ -102,6 +110,17 @@ MATCHES = {
 }
 MATCH_EPS = ("1.0", "auto", "0.3")
 
+# help and usage texts: name -> (argv, the stream whose bytes are digested)
+SUBCOMMANDS = ("generate", "match", "region", "converse", "verify", "campaign", "scan")
+TEXTS = {
+    "help": (["--help"], "stdout"),
+    **{f"{sub}-help": ([sub, "--help"], "stdout") for sub in SUBCOMMANDS},
+    "no-subcommand": ([], "stderr"),
+    "unknown-subcommand": (["bogus"], "stderr"),
+    "match-no-input": (["match"], "stderr"),
+    "campaign-trials-x": (["campaign", "--trials", "x"], "stderr"),
+}
+
 
 def campaign_digests(work: Path) -> dict[str, dict[str, str]]:
     """sha256 of every golden campaign's CSV and summary bytes, run in work."""
@@ -144,6 +163,28 @@ def match_digests(work: Path) -> dict[str, dict]:
     return out
 
 
+def text_digests() -> dict[str, dict]:
+    """Exit code of every golden help or usage run, with the sha256 of the
+    stream it writes."""
+    out = {}
+    old = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        for name, (argv, stream) in TEXTS.items():
+            buf = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+            with contextlib.redirect_stdout(buf["stdout"]), \
+                    contextlib.redirect_stderr(buf["stderr"]):
+                code = main(argv)
+            out[name] = {"exit": code, stream: hashlib.sha256(
+                buf[stream].getvalue().encode()).hexdigest()}
+    finally:
+        if old is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = old
+    return out
+
+
 def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
@@ -151,10 +192,10 @@ def versions() -> dict[str, str]:
 def write_golden() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"versions": versions(), "campaigns": campaign_digests(Path(tmp)),
-               "matches": match_digests(Path(tmp))}
+               "matches": match_digests(Path(tmp)), "texts": text_digests()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc['campaigns'])} campaign and {len(doc['matches'])} match "
-          f"digests to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(doc['campaigns'])} campaign, {len(doc['matches'])} match and "
+          f"{len(doc['texts'])} text digests to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from golden_campaigns import GOLDEN, campaign_digests, match_digests, versions
+from golden_campaigns import GOLDEN, campaign_digests, match_digests, text_digests, versions
 
 
 def _moved(want: dict, got: dict) -> list[str]:
@@ -24,3 +24,7 @@ def test_campaign_digests_match_the_golden_file(tmp_path):
 
 def test_match_digests_match_the_golden_file(tmp_path):
     _check("matches", match_digests(tmp_path))
+
+
+def test_help_and_usage_digests_match_the_golden_file():
+    _check("texts", text_digests())
