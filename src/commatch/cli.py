@@ -11,6 +11,12 @@ own error row, and the campaign goes on.
 Exit codes: 0 success, 1 runtime failure (empty ambiguity set, failed verify
 checks), 2 validation/parameter and argument errors, 3 size-guard refusals;
 `main` returns them, `--help` (0) included, and raises none as SystemExit.
+
+Each handler imports the modules it calls, so a process loads only its
+subcommand's: `--help` and argument errors load no numpy and no module but
+`errors`. The parser leaves `--kappa` and `--cap` None, and the handlers fill
+in `typicality.DEFAULT_KAPPA` and `matcher.DEFAULT_CANDIDATE_CAP` before
+anything is hashed.
 """
 
 from __future__ import annotations
@@ -27,20 +33,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-import numpy as np
-
 from . import __version__
-from .bounds import (achievability_check, achievability_profile, converse_check,
-                     er_achievability, er_converse, permuted_typicality_bound)
 from .errors import (CommatchError, EmptyAmbiguitySetError, ParameterError,
                      SizeGuardError, ValidationError)
-from .graphgen import anonymize, parse_instance, sample_pair, sample_pairs, save_instance
-from .matcher import DEFAULT_CANDIDATE_CAP, match_instances, run_matching
-from .model import CommunityLayout, load_model, parse_model, read_file, write_file
-from .oracle import exact_typicality_probability
-from .permutation import (Permutation, cycle_parameter_space,
-                          standard_permutation, to_one_based)
-from .typicality import DEFAULT_KAPPA, default_epsilon
 
 _MASK64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -60,6 +55,7 @@ def _read_hashed(path: str, kind: str) -> tuple[bytes, str]:
     """A model or instance file's bytes, read once, and their sha256, which a
     config hash keys on so that it follows the very contents parsed and not
     the path they were read from."""
+    from .model import read_file
     data = read_file(path, kind)
     return data, hashlib.sha256(data).hexdigest()
 
@@ -70,6 +66,7 @@ def _json_text(doc: dict) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
+        from .model import write_file
         write_file(out, text, "output")
     else:
         sys.stdout.write(text)
@@ -98,7 +95,20 @@ def _check_cap(cap: int) -> None:
         raise ParameterError(f"cap must be >= 1, got {cap}")
 
 
+def _resolve_defaults(args) -> None:
+    """Fill in --kappa and --cap where the command line left them out. Their
+    defaults are defined once, in typicality and matcher; the parser leaves
+    them None so that it builds without importing either."""
+    from .matcher import DEFAULT_CANDIDATE_CAP
+    from .typicality import DEFAULT_KAPPA
+    if args.kappa is None:
+        args.kappa = DEFAULT_KAPPA
+    if args.cap is None:
+        args.cap = DEFAULT_CANDIDATE_CAP
+
+
 def _resolve_eps(eps: Optional[float], n: int, kappa: float) -> float:
+    from .typicality import default_epsilon
     _finite("kappa", kappa)
     out = _finite("eps", eps) if eps is not None else default_epsilon(n, kappa)
     if out < 0:
@@ -167,6 +177,12 @@ def run_campaign(cfg: ExperimentConfig,
     each. Matcher errors are recorded on the trial (empty accuracy, error
     column) rather than aborting the campaign.
     """
+    import numpy as np
+
+    from .graphgen import anonymize, sample_pairs
+    from .matcher import match_instances
+    from .model import CommunityLayout, parse_model, read_file
+
     if cfg.trials < 1:
         raise ParameterError(f"trial count must be >= 1, got {cfg.trials}")
     _check_cap(cfg.cap)
@@ -231,6 +247,9 @@ def _csv_text(meta: Iterable[str], header: list[str], rows: Iterable[list]) -> s
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_generate(args) -> int:
+    from .graphgen import anonymize, sample_pair, save_instance
+    from .model import parse_model
+
     data, digest = _read_hashed(args.model, "model")
     model, layout = parse_model(data)
     shuffle = args.shuffle_seed if args.shuffle_seed is not None else args.seed
@@ -243,6 +262,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from .graphgen import parse_instance
+    from .matcher import run_matching
+    from .permutation import to_one_based
+
+    _resolve_defaults(args)
     _check_cap(args.cap)
     data, digest = _read_hashed(args.input, "instance")
     inst = parse_instance(data, mode=args.mode)
@@ -269,6 +293,9 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    from .bounds import achievability_profile
+    from .model import parse_model
+
     data, digest = _read_hashed(args.model, "model")
     model, layout = parse_model(data)
     rows = achievability_profile(model, layout, args.n, args.delta, args.grid)
@@ -286,6 +313,9 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_converse(args) -> int:
+    from .bounds import converse_check
+    from .model import parse_model
+
     data, digest = _read_hashed(args.model, "model")
     model, layout = parse_model(data)
     v = converse_check(model, layout, args.n)
@@ -309,11 +339,19 @@ def _equal_probs(a, b) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    from .model import load_model
+    from .oracle import exact_typicality_probability
+    from .permutation import Permutation, cycle_parameter_space, standard_permutation
+
     model, layout = load_model(args.model)
     if layout.c != 1:
         raise ValidationError(["verify needs a single-community model"])
     joint = model.joint[0, 0]
     n, eps = args.n, _finite("eps", args.eps)
+    if n < 2:
+        raise ParameterError(f"n must be >= 2, got {n}")
+    if eps < 0:
+        raise ParameterError(f"eps must be nonnegative, got {eps}")
     lines = []
     failures = 0
     if args.check == "prop1":
@@ -334,6 +372,7 @@ def _cmd_verify(args) -> int:
                 f"joint_permutation_invariant={_bool_str(_equal_probs(p_both, base))} "
                 f"{'PASS' if ok else 'FAIL'}")
     else:  # thm1
+        from .bounds import permuted_typicality_bound
         for alpha in (0.0, 1.0 / n, 0.5):
             m = round(alpha * n)
             if n - m == 1:
@@ -355,6 +394,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    _resolve_defaults(args)
     cfg = ExperimentConfig(
         model_path=args.model, n=args.n, mode=args.mode, trials=args.trials,
         master_seed=args.seed, eps=args.eps, kappa=args.kappa, cap=args.cap,
@@ -380,6 +420,9 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .bounds import achievability_check, converse_check, er_achievability, er_converse
+    from .model import parse_model
+
     data, digest = _read_hashed(args.model, "model")
     model, layout = parse_model(data)
     try:
@@ -440,8 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the mode recorded in the instance file")
     m.add_argument("--eps", type=_parse_eps, default=None,
                    help="typicality slack, or 'auto' for the schedule (default)")
-    m.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    m.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP)
+    m.add_argument("--kappa", type=float, default=None)
+    m.add_argument("--cap", type=int, default=None)
     m.set_defaults(func=_cmd_match)
 
     r = sub.add_parser("region", parents=[common],
@@ -474,8 +517,8 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--mode", choices=("csi", "wsi"), default="csi")
     k.add_argument("--trials", type=int, required=True)
     k.add_argument("--eps", type=_parse_eps, default=None)
-    k.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    k.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP)
+    k.add_argument("--kappa", type=float, default=None)
+    k.add_argument("--cap", type=int, default=None)
     k.set_defaults(func=_cmd_campaign)
 
     s = sub.add_parser("scan", parents=[common],

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -200,6 +199,7 @@ def dsbs_joint(crossover: float, exact: bool = False):
     if not 0 <= crossover <= 1:
         raise ParameterError(f"crossover must lie in [0, 1], got {crossover}")
     if exact:
+        from fractions import Fraction
         p = Fraction(str(crossover))
         half = Fraction(1, 2)
         same = (1 - p) * half

@@ -32,15 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ParameterError, SizeGuardError
-from .graphgen import MatchingInstance
 from .model import CommunityLayout
 from .permutation import Labeling, Permutation
 from .typicality import blocks_jointly_typical, paired_blocks
+
+if TYPE_CHECKING:
+    from .graphgen import MatchingInstance
 
 DEFAULT_OUTCOME_CAP = 100_000_000
 _CHUNK = 1 << 18

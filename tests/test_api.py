@@ -1,6 +1,8 @@
 """The package root's public names. A change to the public API shows up as a
 change to this list."""
 
+import importlib
+
 import commatch
 
 PUBLIC_NAMES = [
@@ -84,7 +86,27 @@ PUBLIC_NAMES = [
     "vertex_accuracy",
 ]
 
+SUBMODULES = ["bounds", "errors", "graphgen", "matcher", "model", "oracle", "permutation",
+              "typicality"]
+
 
 def test_package_root_public_names():
     assert sorted(commatch.__all__) == PUBLIC_NAMES
     assert all(hasattr(commatch, name) for name in PUBLIC_NAMES)
+
+
+def test_package_root_names_are_the_defining_modules_objects():
+    # the root resolves its names lazily; each must be the very object its
+    # submodules hold, and a submodule's name the submodule itself
+    subs = {name: importlib.import_module(f"commatch.{name}") for name in SUBMODULES}
+    for name in commatch.__all__:
+        value = getattr(commatch, name)
+        if name in subs:
+            assert value is subs[name]
+            continue
+        holders = [m for m in subs.values() if hasattr(m, name)]
+        assert holders and all(getattr(m, name) is value for m in holders), name
+    assert set(commatch.__all__) <= set(dir(commatch))
+    star = {}
+    exec("from commatch import *", star)
+    assert all(star[name] is getattr(commatch, name) for name in commatch.__all__)

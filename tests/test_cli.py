@@ -15,7 +15,7 @@ from commatch.bounds import achievability_profile, converse_check
 from commatch import cli
 from commatch.cli import ExperimentConfig, _quantiles, main, run_campaign, trial_seed
 from commatch.errors import ValidationError
-from commatch.graphgen import load_instance
+from commatch.graphgen import anonymize, load_instance, sample_pair, save_instance
 from commatch.model import (
     copy_joint,
     dsbs_joint,
@@ -541,25 +541,70 @@ def test_campaign_quantiles_equal_numpy_bit_for_bit():
         assert np.array(_quantiles(values, qs)).tobytes() == np.array(want).tobytes()
 
 
-def test_campaign_child_does_not_import_numpy_ma(tmp_path, model_c2):
-    # np.quantile would import numpy.ma on its first call, at ~15 ms a process
+def _child_modules(*argv: str) -> tuple[int, set[str]]:
+    """Run `commatch argv` in a fresh child process; its exit code and the
+    modules it loaded."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(commatch.__file__)))
     child = (
-        "import runpy, sys\n"
+        "import json, runpy, sys\n"
         "sys.argv = ['commatch'] + sys.argv[1:]\n"
+        "code = 0\n"
         "try:\n"
         "    runpy.run_module('commatch', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as e:\n"
-        "    assert e.code == 0, e.code\n"
-        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
-    run = subprocess.run(
-        [sys.executable, "-c", child, "campaign", "--model", model_c2, "--n", "6",
-         "--trials", "3", "--seed", "5", "--out", str(tmp_path / "camp")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        "    code = e.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n")
+    run = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    code, modules = json.loads(run.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_campaign_child_does_not_import_numpy_ma(tmp_path, model_c2):
+    # np.quantile would import numpy.ma on its first call, at ~15 ms a process
+    code, modules = _child_modules(
+        "campaign", "--model", model_c2, "--n", "6", "--trials", "3", "--seed", "5",
+        "--out", str(tmp_path / "camp"))
+    assert code == 0
+    assert sorted(m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")) == []
     summary = json.loads((tmp_path / "camp.summary.json").read_text())
     assert summary["accuracy_quantiles"] is not None
+
+
+_GENERATE = {"model", "graphgen", "permutation", "typicality"}
+_PROP1 = {"model", "oracle", "permutation", "typicality"}
+
+
+@pytest.mark.parametrize("argv, exit_code, loads", [
+    (["--help"], 0, set()),
+    (["match"], 2, set()),
+    (["generate", "--model", "{c2}", "--out", "{tmp}/inst.json"], 0, _GENERATE),
+    (["match", "--input", "{inst}", "--eps", "1.0"], 0, _GENERATE | {"matcher"}),
+    (["campaign", "--model", "{c2}", "--n", "6", "--trials", "2", "--out", "{tmp}/camp"],
+     0, _GENERATE | {"matcher"}),
+    (["region", "--model", "{c2}", "--n", "8"], 0, {"bounds", "model"}),
+    (["converse", "--model", "{c2}", "--n", "8"], 0, {"bounds", "model"}),
+    (["scan", "--model", "{c2}", "--n-list", "8,10"], 0, {"bounds", "model"}),
+    (["verify", "--check", "prop1", "--model", "{c1}", "--n", "4", "--eps", "0.25"],
+     0, _PROP1),
+    (["verify", "--check", "thm1", "--model", "{c1}", "--n", "4", "--eps", "0.25"],
+     0, _PROP1 | {"bounds"}),
+], ids=["help", "usage-error", "generate", "match", "campaign", "region", "converse",
+        "scan", "verify-prop1", "verify-thm1"])
+def test_child_loads_only_its_subcommands_modules(tmp_path, model_c2, argv, exit_code,
+                                                  loads):
+    c1 = tmp_path / "c1.json"
+    save_model(*homogeneous_model(dsbs_joint(0.1), (4,)), c1)
+    inst = tmp_path / "given.json"
+    save_instance(anonymize(sample_pair(*load_model(model_c2), 3), "csi", 3), inst)
+    paths = {"c1": c1, "c2": model_c2, "inst": inst, "tmp": tmp_path}
+    code, modules = _child_modules(*(a.format(**paths) for a in argv))
+    assert code == exit_code
+    assert {m for m in modules if m.startswith("commatch.")} == {
+        f"commatch.{m}" for m in loads | {"cli", "errors"}}
+    assert ("numpy" in modules) == bool(loads)
+    assert ("fractions" in modules) == (argv[0] == "verify")
 
 
 def test_campaign_requires_out(model_c2, capsys):
@@ -645,6 +690,24 @@ def test_verify_thm1_passes(tmp_path, capsys):
 def test_verify_rejects_multi_community(model_c2):
     assert main(["verify", "--check", "prop1", "--model", model_c2,
                  "--n", "4", "--eps", "0.25"]) == 2
+
+
+@pytest.mark.parametrize("check", ["prop1", "thm1"])
+@pytest.mark.parametrize("n, eps, text", [
+    ("1", "0.25", "n must be >= 2, got 1"),
+    ("0", "0.25", "n must be >= 2, got 0"),
+    ("7", "-1", "eps must be nonnegative, got -1.0"),
+], ids=["n1", "n0", "negative-eps"])
+def test_verify_refuses_vacuous_checks(tmp_path, capsys, check, n, eps, text):
+    # n < 2 has no permutation to check and a negative eps no typical
+    # outcome, so every line would read p=0 and PASS
+    path = tmp_path / "dsbs.json"
+    save_model(*homogeneous_model(dsbs_joint(0.1), (4,)), path)
+    assert main(["verify", "--check", check, "--model", str(path),
+                 "--n", n, "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bad parameters: {text}\n"
 
 
 def test_trial_seed_spreads():
