@@ -13,7 +13,10 @@ A second table records `commatch match` on instances sampled in-process with
 contiguous and alternating community layouts: the exit code of each run, and
 the sha256 of the document wherever it exits 0.
 
-A third table records the help and usage texts: the exit code and the sha256
+A third table records the `region`, `converse`, `scan` and `verify` documents
+written through `--out`: the exit code of each run and the sha256 of the file.
+
+A fourth table records the help and usage texts: the exit code and the sha256
 of stdout for `--help` and each subcommand's `--help`, and of stderr for a few
 argument errors, with COLUMNS pinned to 80 because argparse wraps help text to
 the terminal width.
@@ -60,6 +63,9 @@ MODELS = {
     "d222": (dsbs_joint(0.1), (2, 2, 2)),
     "copy444": (copy_joint(2), (4, 4, 4)),
     "copy77": (copy_joint(2), (7, 7)),
+    "d6": (dsbs_joint(0.1), (6,)),
+    "copy6": (copy_joint(2), (6,)),
+    "ind4": (uniform_product_joint(2), (4,)),
 }
 
 # name -> (model, n, mode, trials, extra flags)
@@ -110,6 +116,33 @@ MATCHES = {
 }
 MATCH_EPS = ("1.0", "auto", "0.3")
 
+# documents written through --out: name -> argv, where "{key}" is the path
+# of the model file MODELS[key]; single-community models take scan's closed
+# forms, and the rest its allocation sweep
+DOCUMENTS = {
+    "region-d55-n10": ["region", "--model", "{d55}", "--n", "10"],
+    "region-d55-n10-grid0.2": ["region", "--model", "{d55}", "--n", "10",
+                               "--delta", "0.2", "--grid", "0.2"],
+    "region-d6-n20": ["region", "--model", "{d6}", "--n", "20"],
+    "region-d3333-n12-grid0.25": ["region", "--model", "{d3333}", "--n", "12",
+                                  "--grid", "0.25"],
+    "converse-d55-n10": ["converse", "--model", "{d55}", "--n", "10"],
+    "converse-d6-n100": ["converse", "--model", "{d6}", "--n", "100"],
+    "converse-ind55-n10": ["converse", "--model", "{ind55}", "--n", "10"],
+    "scan-d6": ["scan", "--model", "{d6}", "--n-list", "10,100,1000"],
+    "scan-d55": ["scan", "--model", "{d55}", "--n-list", "10,20"],
+    "scan-copy444-grid0.25": ["scan", "--model", "{copy444}", "--n-list", "12",
+                              "--delta", "0.05", "--grid", "0.25"],
+    "verify-prop1-ind4-n4": ["verify", "--check", "prop1", "--model", "{ind4}",
+                             "--n", "4", "--eps", "0.25"],
+    "verify-prop1-d6-n5": ["verify", "--check", "prop1", "--model", "{d6}",
+                           "--n", "5", "--eps", "0.3"],
+    "verify-thm1-d6-n4": ["verify", "--check", "thm1", "--model", "{d6}",
+                          "--n", "4", "--eps", "0.25"],
+    "verify-thm1-copy6-n6": ["verify", "--check", "thm1", "--model", "{copy6}",
+                             "--n", "6", "--eps", "0.1"],
+}
+
 # help and usage texts: name -> (argv, the stream whose bytes are digested)
 SUBCOMMANDS = ("generate", "match", "region", "converse", "verify", "campaign", "scan")
 TEXTS = {
@@ -122,10 +155,18 @@ TEXTS = {
 }
 
 
+def _save_models(work: Path) -> dict[str, str]:
+    """Write every model of MODELS to work; the path of each, by key."""
+    paths = {}
+    for key, (joint, sizes) in MODELS.items():
+        paths[key] = str(work / f"{key}.json")
+        save_model(*homogeneous_model(joint, sizes), paths[key])
+    return paths
+
+
 def campaign_digests(work: Path) -> dict[str, dict[str, str]]:
     """sha256 of every golden campaign's CSV and summary bytes, run in work."""
-    for key, (joint, sizes) in MODELS.items():
-        save_model(*homogeneous_model(joint, sizes), work / f"{key}.json")
+    _save_models(work)
     out = {}
     for name, (model, n, mode, trials, extra) in CAMPAIGNS.items():
         for seed in SEEDS:
@@ -163,6 +204,19 @@ def match_digests(work: Path) -> dict[str, dict]:
     return out
 
 
+def document_digests(work: Path) -> dict[str, dict]:
+    """Exit code of every golden document run, with the sha256 of the file it
+    writes through --out."""
+    paths = _save_models(work)
+    doc = work / "doc"
+    out = {}
+    for name, argv in DOCUMENTS.items():
+        doc.unlink(missing_ok=True)
+        code = main([a.format(**paths) for a in argv] + ["--out", str(doc)])
+        out[name] = {"exit": code, "sha256": hashlib.sha256(doc.read_bytes()).hexdigest()}
+    return out
+
+
 def text_digests() -> dict[str, dict]:
     """Exit code of every golden help or usage run, with the sha256 of the
     stream it writes."""
@@ -192,10 +246,12 @@ def versions() -> dict[str, str]:
 def write_golden() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"versions": versions(), "campaigns": campaign_digests(Path(tmp)),
-               "matches": match_digests(Path(tmp)), "texts": text_digests()}
+               "matches": match_digests(Path(tmp)),
+               "documents": document_digests(Path(tmp)), "texts": text_digests()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc['campaigns'])} campaign, {len(doc['matches'])} match and "
-          f"{len(doc['texts'])} text digests to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(doc['campaigns'])} campaign, {len(doc['matches'])} match, "
+          f"{len(doc['documents'])} document and {len(doc['texts'])} text digests "
+          f"to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

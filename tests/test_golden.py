@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from golden_campaigns import GOLDEN, campaign_digests, match_digests, text_digests, versions
+from golden_campaigns import (GOLDEN, campaign_digests, document_digests, match_digests,
+                              text_digests, versions)
 
 
 def _moved(want: dict, got: dict) -> list[str]:
@@ -24,6 +25,10 @@ def test_campaign_digests_match_the_golden_file(tmp_path):
 
 def test_match_digests_match_the_golden_file(tmp_path):
     _check("matches", match_digests(tmp_path))
+
+
+def test_document_digests_match_the_golden_file(tmp_path):
+    _check("documents", document_digests(tmp_path))
 
 
 def test_help_and_usage_digests_match_the_golden_file():
