@@ -14,7 +14,10 @@ All public types are immutable; arrays are marked read-only.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -239,11 +242,28 @@ def read_file(path, kind: str) -> bytes:
 
 
 def write_file(path, text: str, kind: str) -> None:
-    """Write text to a file; an unwritable path raises ValidationError
-    instead of leaking OSError to callers, as `read_file` does."""
+    """Write text, UTF-8 encoded, to a file; an unwritable path raises
+    ValidationError instead of leaking OSError to callers, as `read_file`
+    does.
+
+    An existing file is overwritten in place and, if it is a regular file,
+    then truncated to the text's length, so a shorter text leaves no tail
+    behind; devices and pipes are written to and never truncated. Opening
+    without O_TRUNC spares the flush that ext4 runs when a file truncated to
+    zero is closed (about 90 µs against 10 µs for a 2 kB file). As before,
+    there is no fsync and no atomic replace.
+    """
+    data = text.encode()
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as e:
         raise ValidationError([f"cannot write {kind} file: {e}"]) from None
 
@@ -294,8 +314,16 @@ def load_model(path) -> tuple[PairedEdgeModel, CommunityLayout]:
     return parse_model(read_file(path, "model"))
 
 
+@lru_cache(maxsize=8)
 def parse_model(data: bytes) -> tuple[PairedEdgeModel, CommunityLayout]:
-    """Parse and validate a model file's bytes; raises ValidationError when broken."""
+    """Parse and validate a model file's bytes; raises ValidationError when broken.
+
+    Results are memoized on the bytes themselves, so a process parses each
+    distinct model file's contents once and a file rewritten with new bytes
+    is parsed afresh. Sharing a result is safe: both types are frozen and
+    the joint tensor is read-only. A broken file raises on every call, since
+    no exception is memoized.
+    """
     raw = parse_json_document(data, "model")
     problems = [k for k in ("l", "communities", "joint") if k not in raw]
     if problems:

@@ -412,27 +412,39 @@ def test_unreadable_files_are_validation_errors(tmp_path, capsys):
     assert "cannot read" in err and "not valid JSON" in err
 
 
+# every command that writes through --out, with its --out left off; campaign
+# writes PREFIX.csv and PREFIX.summary.json, the others the path itself
+OUT_COMMANDS = {
+    "generate": ["generate", "--model", "{c2}"],
+    "match": ["match", "--input", "{inst}"],
+    "campaign": ["campaign", "--model", "{c2}", "--n", "6", "--trials", "2"],
+    "region": ["region", "--model", "{c2}", "--n", "10"],
+    "converse": ["converse", "--model", "{c2}", "--n", "10"],
+    "verify": ["verify", "--check", "prop1", "--model", "{c1}", "--n", "4", "--eps", "0.3"],
+    "scan": ["scan", "--model", "{c2}", "--n-list", "10"],
+}
+
+# {missing} lies under a directory that does not exist; {dir} names an
+# existing directory (so do {dir}.csv and {dir}.summary.json)
 UNWRITABLE_OUT = [
-    pytest.param(["generate", "--model", "{c2}", "--out", "{out}"], id="generate"),
-    pytest.param(["match", "--input", "{inst}", "--out", "{out}"], id="match"),
-    pytest.param(["campaign", "--model", "{c2}", "--n", "6", "--trials", "2", "--out", "{out}"],
-                 id="campaign"),
-    pytest.param(["region", "--model", "{c2}", "--n", "10", "--out", "{out}"], id="region"),
-    pytest.param(["converse", "--model", "{c2}", "--n", "10", "--out", "{out}"], id="converse"),
-    pytest.param(["verify", "--check", "prop1", "--model", "{c1}", "--n", "4", "--eps", "0.3",
-                  "--out", "{out}"], id="verify"),
-    pytest.param(["scan", "--model", "{c2}", "--n-list", "10", "--out", "{out}"], id="scan"),
+    *(pytest.param(argv + ["--out", "{missing}"], id=name)
+      for name, argv in OUT_COMMANDS.items()),
+    *(pytest.param(argv + ["--out", "{dir}"], id=f"{name}-directory")
+      for name, argv in OUT_COMMANDS.items()),
 ]
 
 
 @pytest.mark.parametrize("argv", UNWRITABLE_OUT)
 def test_unwritable_out_is_a_validation_error(tmp_path, model_c1, model_c2, capsys, argv):
-    # an --out path under a missing directory exits 2 with one line, not a
-    # traceback
+    # an --out path under a missing directory, or one that names a directory,
+    # exits 2 with one line, not a traceback
     inst = tmp_path / "inst.json"
     assert main(["generate", "--model", model_c2, "--out", str(inst)]) == 0
-    out = tmp_path / "missing" / "x"
-    argv = [a.format(c1=model_c1, c2=model_c2, inst=inst, out=out) for a in argv]
+    out_dir = tmp_path / "d"
+    for suffix in ("", ".csv", ".summary.json"):
+        Path(f"{out_dir}{suffix}").mkdir()
+    argv = [a.format(c1=model_c1, c2=model_c2, inst=inst, missing=tmp_path / "missing" / "x",
+                     dir=out_dir) for a in argv]
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -440,6 +452,46 @@ def test_unwritable_out_is_a_validation_error(tmp_path, model_c1, model_c2, caps
     assert len(lines) == 1 and lines[0].startswith("invalid input: cannot write "), captured.err
     assert "Traceback" not in captured.err and not captured.out
     assert not (tmp_path / "missing").exists()
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("name", [*OUT_COMMANDS, "save_model"])
+def test_out_overwrites_longer_and_equal_length_files(tmp_path, model_c1, model_c2, name):
+    # writing over a longer file, or over one of equal length, leaves exactly
+    # the bytes that a fresh directory gets
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--model", model_c2, "--out", str(inst)]) == 0
+    suffixes = [".csv", ".summary.json"] if name == "campaign" else [""]
+
+    def write(out: Path) -> list[bytes]:
+        if name == "save_model":
+            save_model(*homogeneous_model(dsbs_joint(0.2), (3, 3)), out)
+        else:
+            argv = [a.format(c1=model_c1, c2=model_c2, inst=inst)
+                    for a in OUT_COMMANDS[name]]
+            assert main(argv + ["--out", str(out)]) == 0
+        return [Path(f"{out}{suffix}").read_bytes() for suffix in suffixes]
+
+    (tmp_path / "fresh").mkdir()
+    want = write(tmp_path / "fresh" / "out")
+    for extra in (1000, 1, 0):
+        work = tmp_path / f"over{extra}"
+        work.mkdir()
+        for suffix, data in zip(suffixes, want):
+            Path(f"{work / 'out'}{suffix}").write_bytes(b"#" * (len(data) + extra))
+        assert write(work / "out") == want, extra
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+@pytest.mark.parametrize("name", ["match", "region"])
+def test_out_to_the_null_device(tmp_path, model_c1, model_c2, capsys, name):
+    # a device is written to and never truncated
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--model", model_c2, "--out", str(inst)]) == 0
+    argv = [a.format(c1=model_c1, c2=model_c2, inst=inst) for a in OUT_COMMANDS[name]]
+    capsys.readouterr()
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert "invalid input" not in capsys.readouterr().err
 
 
 def test_campaign_outputs(tmp_path, model_c2):
@@ -495,6 +547,31 @@ def test_campaign_config_hash_follows_model_contents(tmp_path, model_c2, monkeyp
     assert main(args + ["model.json"]) == 0
     assert (json.loads(Path("camp.summary.json").read_text())["config_hash"]
             != json.loads(outs[0][1])["config_hash"])
+
+
+def test_campaign_follows_a_model_file_rewritten_in_place(tmp_path):
+    # a model file rewritten at the same path with new bytes is parsed
+    # afresh: the next campaign in the same process gives what a campaign on
+    # the new model at another path gives, in its rows and its config_hash
+    path, other = tmp_path / "model.json", tmp_path / "other.json"
+    args = ["campaign", "--n", "6", "--trials", "6", "--seed", "4", "--eps", "0.3",
+            "--out", str(tmp_path / "camp"), "--model"]
+
+    def run(model: Path) -> tuple[bytes, bytes]:
+        assert main(args + [str(model)]) == 0
+        return ((tmp_path / "camp.csv").read_bytes(),
+                (tmp_path / "camp.summary.json").read_bytes())
+
+    save_model(*homogeneous_model(dsbs_joint(0.2), (3, 3)), path)
+    before = run(path)
+    save_model(*homogeneous_model(copy_joint(2), (3, 3)), path)
+    after = run(path)
+    save_model(*homogeneous_model(copy_joint(2), (3, 3)), other)
+    assert after == run(other)
+    rows = [b"\n".join(line for line in csv_bytes.splitlines() if not line.startswith(b"#"))
+            for csv_bytes, _ in (before, after)]
+    assert rows[0] != rows[1]
+    assert json.loads(before[1])["config_hash"] != json.loads(after[1])["config_hash"]
 
 
 def test_campaign_seeds_are_per_trial(tmp_path, model_c2):

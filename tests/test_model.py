@@ -1,3 +1,5 @@
+import errno
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +15,12 @@ from commatch.model import (
     homogeneous_model,
     load_model,
     marginal,
+    parse_model,
     product_coupling,
     save_model,
     single_community,
     uniform_product_joint,
+    write_file,
 )
 
 
@@ -250,3 +254,49 @@ def test_model_owns_its_tensor():
     model = PairedEdgeModel(j)
     j[0, 0, 0, 0] = 0.5
     assert model.joint[0, 0, 0, 0] == 0.45 and j.flags.writeable
+
+
+def _open_descriptors() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("call", ["write", "fstat", "ftruncate"])
+def test_failed_write_closes_its_descriptor(tmp_path, monkeypatch, call):
+    # a write that fails after the open raises ValidationError and leaves no
+    # descriptor open
+    def fail(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    path = tmp_path / "out.json"
+    before = _open_descriptors()
+    monkeypatch.setattr(os, call, fail)
+    with pytest.raises(ValidationError, match="cannot write output file: .*No space left"):
+        write_file(path, "{}\n", "output")
+    monkeypatch.undo()
+    assert _open_descriptors() == before
+    assert path.exists()
+
+
+# a valid single-community model file (the broken case below sums to 0.95)
+MODEL_BYTES = b'{"communities": [3], "joint": [[[[0.45, 0.05], [0.05, 0.45]]]], "l": 2}'
+
+
+@pytest.mark.parametrize("data", [
+    b"{truncated",
+    b'{"l": 2, "communities": [2]}',
+    MODEL_BYTES.replace(b"0.45", b"0.40", 1),
+], ids=["json", "missing-key", "unnormalized"])
+def test_broken_model_bytes_raise_on_every_call(data):
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            parse_model(data)
+
+
+def test_memoized_model_is_shared_and_read_only():
+    model, lay = parse_model(MODEL_BYTES)
+    again = parse_model(bytes(bytearray(MODEL_BYTES)))  # equal bytes, another object
+    assert again[0] is model and again[1] is lay
+    with pytest.raises(ValueError):
+        model.joint[0, 0, 0, 0] = 0.5
+    assert parse_model(MODEL_BYTES)[0].joint[0, 0, 0, 0] == 0.45
