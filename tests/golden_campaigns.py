@@ -21,6 +21,14 @@ of stdout for `--help` and each subcommand's `--help`, and of stderr for a few
 argument errors, with COLUMNS pinned to 80 because argparse wraps help text to
 the terminal width.
 
+A fifth table records ambiguity sets without the CLI: for instances sampled
+in-process, the sha256 of each csi grid's kept axis ranks and packed-bit mask
+(the ranks alone for a product grid), and of each wsi set's packed-bit mask.
+It covers dsbs(0.1), copy and uniform product models at (3,3), (4,3),
+(2,2,2), (3,2,2) and (4,4) at four eps, (2,2,1,1,1) at three (csi only), the
+csi configurations of the bench's tight campaigns, and an l = 3 copy model
+whose blocks bind several windows each.
+
 Regenerate the committed file with
 
     PYTHONPATH=src python tests/golden_campaigns.py
@@ -45,6 +53,7 @@ import numpy as np
 
 from commatch.cli import main
 from commatch.graphgen import anonymize, sample_pair, save_instance
+from commatch.matcher import ambiguity_set_csi, ambiguity_set_wsi
 from commatch.model import (CommunityLayout, copy_joint, dsbs_joint, homogeneous_model,
                             save_model, uniform_product_joint)
 
@@ -154,6 +163,31 @@ TEXTS = {
     "campaign-trials-x": (["campaign", "--trials", "x"], "stderr"),
 }
 
+# ambiguity sets: name -> (joint, sizes, eps or None for the default, seed,
+# modes); the instance of each mode is anonymized from the pair drawn with
+# the seed, shuffled with it too
+MASK_JOINTS = {"d": dsbs_joint(0.1), "copy": copy_joint(2),
+               "ind": uniform_product_joint(2), "copy3": copy_joint(3)}
+MASKS = {
+    f"{joint}/{'-'.join(map(str, sizes))}/eps{eps or 'auto'}/seed0":
+        (joint, sizes, eps, 0, ("csi", "wsi"))
+    for sizes in ((3, 3), (4, 3), (2, 2, 2), (3, 2, 2), (4, 4))
+    for joint in ("d", "copy", "ind")
+    for eps in (None, 0.3, 0.45, 0.6)
+}
+MASKS.update({
+    # csi only: these wsi sets take 0.15-0.6 s each, a walk that counts
+    # nothing at the default eps and folds whose every pair is dead after it
+    **{f"d/2-2-1-1-1/eps{eps or 'auto'}/seed0": ("d", (2, 2, 1, 1, 1), eps, 0, ("csi",))
+       for eps in (None, 0.3, 0.45)},
+    # the tight campaigns' grids; these seeds count inter blocks
+    "d/6-6/eps0.3/seed0": ("d", (6, 6), 0.3, 0, ("csi",)),
+    "d/4-4-4/eps0.3/seed0": ("d", (4, 4, 4), 0.3, 0, ("csi",)),
+    "d/3-3-3-3/eps0.3/seed7": ("d", (3, 3, 3, 3), 0.3, 7, ("csi",)),
+    # intra blocks bind 5 and 9 windows, the inter block 5
+    "copy3/5-5/eps0.25/seed1": ("copy3", (5, 5), 0.25, 1, ("csi",)),
+})
+
 
 def _save_models(work: Path) -> dict[str, str]:
     """Write every model of MODELS to work; the path of each, by key."""
@@ -239,6 +273,28 @@ def text_digests() -> dict[str, dict]:
     return out
 
 
+def _grid_digest(grid) -> str:
+    """sha256 of a grid's kept axis ranks (every rank where an axis keeps
+    them all) and of its packed-bit mask, shape included, if it has one."""
+    h = hashlib.sha256()
+    for ranks in grid.ranks:
+        h.update(b"all;" if ranks is None else np.asarray(ranks, dtype="<i8").tobytes() + b";")
+    if grid.mask is not None:
+        h.update(repr(grid.mask.shape).encode() + np.packbits(grid.mask).tobytes())
+    return h.hexdigest()
+
+
+def mask_digests() -> dict[str, dict[str, str]]:
+    """Digest of every golden ambiguity set, per mode."""
+    build = {"csi": ambiguity_set_csi, "wsi": ambiguity_set_wsi}
+    out = {}
+    for name, (joint, sizes, eps, seed, modes) in MASKS.items():
+        pair = sample_pair(*homogeneous_model(MASK_JOINTS[joint], sizes), seed)
+        out[name] = {mode: _grid_digest(build[mode](anonymize(pair, mode, seed), eps).grid)
+                     for mode in modes}
+    return out
+
+
 def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
@@ -247,10 +303,12 @@ def write_golden() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"versions": versions(), "campaigns": campaign_digests(Path(tmp)),
                "matches": match_digests(Path(tmp)),
-               "documents": document_digests(Path(tmp)), "texts": text_digests()}
+               "documents": document_digests(Path(tmp)), "texts": text_digests(),
+               "masks": mask_digests()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(doc['campaigns'])} campaign, {len(doc['matches'])} match, "
-          f"{len(doc['documents'])} document and {len(doc['texts'])} text digests "
+          f"{len(doc['documents'])} document, {len(doc['texts'])} text and "
+          f"{len(doc['masks'])} mask digests "
           f"to {GOLDEN}", file=sys.stderr)
 
 

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from golden_campaigns import (GOLDEN, campaign_digests, document_digests, match_digests,
-                              text_digests, versions)
+from golden_campaigns import (GOLDEN, campaign_digests, document_digests, mask_digests,
+                              match_digests, text_digests, versions)
 
 
 def _moved(want: dict, got: dict) -> list[str]:
@@ -33,3 +33,7 @@ def test_document_digests_match_the_golden_file(tmp_path):
 
 def test_help_and_usage_digests_match_the_golden_file():
     _check("texts", text_digests())
+
+
+def test_mask_digests_match_the_golden_file():
+    _check("masks", mask_digests())
