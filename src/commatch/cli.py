@@ -14,8 +14,10 @@ checks), 2 validation/parameter and argument errors, 3 size-guard refusals;
 
 Each handler imports the modules it calls, so a process loads only its
 subcommand's: `--help` and argument errors load no numpy and no module but
-`errors`. The parser leaves `--kappa` and `--cap` None, and the handlers fill
-in `typicality.DEFAULT_KAPPA` and `matcher.DEFAULT_CANDIDATE_CAP` before
+`errors`. Each module is resolved once per process (`_lib`), so an
+in-process caller that runs many commands pays its import lookups once. The
+parser leaves `--kappa` and `--cap` None, and the handlers fill in
+`typicality.DEFAULT_KAPPA` and `matcher.DEFAULT_CANDIDATE_CAP` before
 anything is hashed.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -46,6 +49,13 @@ def trial_seed(master: int, index: int) -> int:
     return (master + (index + 1) * _GOLD) & _MASK64
 
 
+@lru_cache(maxsize=None)
+def _lib(name: str):
+    """The package's submodule `name`, imported on the first request and then
+    returned from the cache, without an import statement's lookups."""
+    return importlib.import_module(f".{name}", __package__)
+
+
 def _config_hash(doc: dict) -> str:
     payload = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
@@ -55,8 +65,7 @@ def _read_hashed(path: str, kind: str) -> tuple[bytes, str]:
     """A model or instance file's bytes, read once, and their sha256, which a
     config hash keys on so that it follows the very contents parsed and not
     the path they were read from."""
-    from .model import read_file
-    data = read_file(path, kind)
+    data = _lib("model").read_file(path, kind)
     return data, hashlib.sha256(data).hexdigest()
 
 
@@ -66,8 +75,7 @@ def _json_text(doc: dict) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        from .model import write_file
-        write_file(out, text, "output")
+        _lib("model").write_file(out, text, "output")
     else:
         sys.stdout.write(text)
 
@@ -99,18 +107,15 @@ def _resolve_defaults(args) -> None:
     """Fill in --kappa and --cap where the command line left them out. Their
     defaults are defined once, in typicality and matcher; the parser leaves
     them None so that it builds without importing either."""
-    from .matcher import DEFAULT_CANDIDATE_CAP
-    from .typicality import DEFAULT_KAPPA
     if args.kappa is None:
-        args.kappa = DEFAULT_KAPPA
+        args.kappa = _lib("typicality").DEFAULT_KAPPA
     if args.cap is None:
-        args.cap = DEFAULT_CANDIDATE_CAP
+        args.cap = _lib("matcher").DEFAULT_CANDIDATE_CAP
 
 
 def _resolve_eps(eps: Optional[float], n: int, kappa: float) -> float:
-    from .typicality import default_epsilon
     _finite("kappa", kappa)
-    out = _finite("eps", eps) if eps is not None else default_epsilon(n, kappa)
+    out = _finite("eps", eps) if eps is not None else _lib("typicality").default_epsilon(n, kappa)
     if out < 0:
         raise ParameterError(f"eps must be nonnegative, got {out}")
     return out
@@ -179,17 +184,14 @@ def run_campaign(cfg: ExperimentConfig,
     """
     import numpy as np
 
-    from .graphgen import anonymize, sample_pairs
-    from .matcher import match_instances
-    from .model import CommunityLayout, parse_model, read_file
-
+    graphgen, models = _lib("graphgen"), _lib("model")
     if cfg.trials < 1:
         raise ParameterError(f"trial count must be >= 1, got {cfg.trials}")
     _check_cap(cfg.cap)
     if model_bytes is None:
-        model_bytes = read_file(cfg.model_path, "model")
-    model, base_layout = parse_model(model_bytes)
-    layout = CommunityLayout.contiguous(base_layout.scaled_sizes(cfg.n))
+        model_bytes = models.read_file(cfg.model_path, "model")
+    model, base_layout = models.parse_model(model_bytes)
+    layout = models.CommunityLayout.contiguous(base_layout.scaled_sizes(cfg.n))
     eps = _resolve_eps(cfg.eps, cfg.n, cfg.kappa)
 
     records = []
@@ -197,9 +199,9 @@ def run_campaign(cfg: ExperimentConfig,
         trials = range(c0, min(c0 + _TRIAL_CHUNK, cfg.trials))
         seeds = [trial_seed(cfg.master_seed, i) for i in trials]
         try:
-            insts = [anonymize(pair, cfg.mode, s)
-                     for pair, s in zip(sample_pairs(model, layout, seeds), seeds)]
-            results = match_instances(insts, eps, seeds, cfg.cap)
+            insts = [graphgen.anonymize(pair, cfg.mode, s)
+                     for pair, s in zip(graphgen.sample_pairs(model, layout, seeds), seeds)]
+            results = _lib("matcher").match_instances(insts, eps, seeds, cfg.cap)
         except CommatchError as e:  # met by every trial alike
             results = [e] * len(seeds)
         for i, s, res in zip(trials, seeds, results):
@@ -247,31 +249,25 @@ def _csv_text(meta: Iterable[str], header: list[str], rows: Iterable[list]) -> s
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    from .graphgen import anonymize, sample_pair, save_instance
-    from .model import parse_model
-
+    graphgen = _lib("graphgen")
     data, digest = _read_hashed(args.model, "model")
-    model, layout = parse_model(data)
+    model, layout = _lib("model").parse_model(data)
     shuffle = args.shuffle_seed if args.shuffle_seed is not None else args.seed
-    pair = sample_pair(model, layout, args.seed)
-    inst = anonymize(pair, args.mode, shuffle)
+    pair = graphgen.sample_pair(model, layout, args.seed)
+    inst = graphgen.anonymize(pair, args.mode, shuffle)
     h = _config_hash({"command": "generate", "model": digest,
                       "mode": args.mode, "seed": args.seed, "shuffle_seed": shuffle})
-    save_instance(inst, args.out, extra={"tool_version": __version__, "config_hash": h})
+    graphgen.save_instance(inst, args.out, extra={"tool_version": __version__, "config_hash": h})
     return 0
 
 
 def _cmd_match(args) -> int:
-    from .graphgen import parse_instance
-    from .matcher import run_matching
-    from .permutation import to_one_based
-
     _resolve_defaults(args)
     _check_cap(args.cap)
     data, digest = _read_hashed(args.input, "instance")
-    inst = parse_instance(data, mode=args.mode)
+    inst = _lib("graphgen").parse_instance(data, mode=args.mode)
     eps = _resolve_eps(args.eps, inst.n, args.kappa)
-    res = run_matching(inst, eps, seed=args.seed, cap=args.cap)
+    res = _lib("matcher").run_matching(inst, eps, seed=args.seed, cap=args.cap)
     d = res.diagnostics
     doc = {
         "mode": d.mode,
@@ -281,7 +277,7 @@ def _cmd_match(args) -> int:
         "candidate_space": d.candidate_space,
         "truth_included": d.truth_included,
         "accuracy": res.accuracy,
-        "labeling": to_one_based(res.labeling),
+        "labeling": _lib("permutation").to_one_based(res.labeling),
         "config_hash": _config_hash({
             "command": "match", "input": digest, "mode": args.mode,
             "eps": eps, "kappa": args.kappa, "seed": args.seed, "cap": args.cap}),
@@ -293,12 +289,9 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    from .bounds import achievability_profile
-    from .model import parse_model
-
     data, digest = _read_hashed(args.model, "model")
-    model, layout = parse_model(data)
-    rows = achievability_profile(model, layout, args.n, args.delta, args.grid)
+    model, layout = _lib("model").parse_model(data)
+    rows = _lib("bounds").achievability_profile(model, layout, args.n, args.delta, args.grid)
     worst = min(rows, key=lambda r: r.margin_bits)
     h = _config_hash({"command": "region", "model": digest, "n": args.n,
                       "delta": args.delta, "grid": args.grid})
@@ -313,12 +306,9 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_converse(args) -> int:
-    from .bounds import converse_check
-    from .model import parse_model
-
     data, digest = _read_hashed(args.model, "model")
-    model, layout = parse_model(data)
-    v = converse_check(model, layout, args.n)
+    model, layout = _lib("model").parse_model(data)
+    v = _lib("bounds").converse_check(model, layout, args.n)
     doc = {
         "n": v.n,
         "lhs_bits": v.lhs_bits,
@@ -339,11 +329,9 @@ def _equal_probs(a, b) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    from .model import load_model
-    from .oracle import exact_typicality_probability
-    from .permutation import Permutation, cycle_parameter_space, standard_permutation
-
-    model, layout = load_model(args.model)
+    exact = _lib("oracle").exact_typicality_probability
+    perms = _lib("permutation")
+    model, layout = _lib("model").load_model(args.model)
     if layout.c != 1:
         raise ValidationError(["verify needs a single-community model"])
     joint = model.joint[0, 0]
@@ -355,15 +343,15 @@ def _cmd_verify(args) -> int:
     lines = []
     failures = 0
     if args.check == "prop1":
-        ident = Permutation.identity(n)
-        base = exact_typicality_probability(joint, n, ident, eps)
-        flip = Permutation(tuple(reversed(range(n))))
-        for m, lengths in cycle_parameter_space(n):
-            std = standard_permutation(m, lengths, n)
+        ident = perms.Permutation.identity(n)
+        base = exact(joint, n, ident, eps)
+        flip = perms.Permutation(tuple(reversed(range(n))))
+        for m, lengths in perms.cycle_parameter_space(n):
+            std = perms.standard_permutation(m, lengths, n)
             conj = flip.compose(std).compose(flip.inverse())
-            p_std = exact_typicality_probability(joint, n, std, eps)
-            p_conj = exact_typicality_probability(joint, n, conj, eps)
-            p_both = exact_typicality_probability(joint, n, std, eps, pi_first=std)
+            p_std = exact(joint, n, std, eps)
+            p_conj = exact(joint, n, conj, eps)
+            p_both = exact(joint, n, std, eps, pi_first=std)
             ok = _equal_probs(p_std, p_conj) and _equal_probs(p_both, base)
             failures += 0 if ok else 1
             lines.append(
@@ -372,17 +360,17 @@ def _cmd_verify(args) -> int:
                 f"joint_permutation_invariant={_bool_str(_equal_probs(p_both, base))} "
                 f"{'PASS' if ok else 'FAIL'}")
     else:  # thm1
-        from .bounds import permuted_typicality_bound
+        bound_of = _lib("bounds").permuted_typicality_bound
         for alpha in (0.0, 1.0 / n, 0.5):
             m = round(alpha * n)
             if n - m == 1:
                 continue
-            for mm, lengths in cycle_parameter_space(n):
+            for mm, lengths in perms.cycle_parameter_space(n):
                 if mm != m:
                     continue
-                pi = standard_permutation(m, lengths, n)
-                p = exact_typicality_probability(joint, n, pi, eps)
-                bound = permuted_typicality_bound(n, m / n, eps, joint).bound_log2
+                pi = perms.standard_permutation(m, lengths, n)
+                p = exact(joint, n, pi, eps)
+                bound = bound_of(n, m / n, eps, joint).bound_log2
                 ok = p.as_float <= 2.0 ** bound
                 failures += 0 if ok else 1
                 lines.append(
@@ -420,11 +408,9 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .bounds import achievability_check, converse_check, er_achievability, er_converse
-    from .model import parse_model
-
+    bounds = _lib("bounds")
     data, digest = _read_hashed(args.model, "model")
-    model, layout = parse_model(data)
+    model, layout = _lib("model").parse_model(data)
     try:
         ns = [int(v) for v in args.n_list.split(",") if v]
     except ValueError:
@@ -438,11 +424,11 @@ def _cmd_scan(args) -> int:
     for n in ns:
         if layout.c == 1:
             # single-community closed forms
-            a = er_achievability(model.joint[0, 0], n, args.delta)
-            v = er_converse(model.joint[0, 0], n)
+            a = bounds.er_achievability(model.joint[0, 0], n, args.delta)
+            v = bounds.er_converse(model.joint[0, 0], n)
         else:
-            a = achievability_check(model, layout, n, args.delta, args.grid)
-            v = converse_check(model, layout, n)
+            a = bounds.achievability_check(model, layout, n, args.delta, args.grid)
+            v = bounds.converse_check(model, layout, n)
         table.append([n, _bool_str(a.satisfied), repr(a.margin_bits),
                       _bool_str(v.impossible), repr(v.lhs_bits), repr(v.rhs_bits)])
     _emit(_csv_text([f"tool_version={__version__}", f"config_hash={h}",

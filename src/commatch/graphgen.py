@@ -51,16 +51,16 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     """The calling thread's one Philox generator, re-keyed to (seed, tag)
     with counter and buffer reset: the state of a fresh
     Philox(key=(seed, tag)), without the OS entropy its constructor draws
-    and discards. The next call on the thread re-keys it again."""
+    and discards. The next call on the thread re-keys it again. The state is
+    held in Python ints and lists, which the state setter reads faster than
+    uint64 arrays."""
     try:
         gen, state, key = _local.stream
     except AttributeError:
-        key = np.zeros(2, dtype=np.uint64)
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        gen = np.random.Generator(np.random.Philox(key=key))
+        key = [0, 0]
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        gen = np.random.Generator(np.random.Philox(key=0))
         _local.stream = gen, state, key
     key[0], key[1] = seed & _MASK64, tag & _MASK64
     gen.bit_generator.state = state  # copied in, so state stays as built

@@ -14,10 +14,16 @@ one community's assignment, inter blocks on a pair, so per-community
 permutations are enumerated once and combined through boolean masks. A
 candidate passes only when every block does, so intra blocks are counted
 first and cut each community's axis down to the permutations that pass; an
-axis left empty empties the set before any inter block is counted. Inter
-block counts for the pairs of survivors come from matrix products with the
-survivors' rows of one-hot permutation tables (one product pair per cell
-with both symbols >= 1, the other cells from marginal totals).
+axis left empty empties the set before any inter block is counted. Only
+cells with both symbols >= 1 are counted; the others follow from marginal
+totals. An intra count is an int8 gather of the second graph's symbol
+indicator at the cells each permutation gives the pair slots that hold the
+first graph's symbol, summed in int16. Inter block counts for the pairs of
+survivors come from one product pair per cell, with the survivors' rows of
+one-hot permutation tables around the Kronecker product of the two graphs'
+indicators (one broadcast AND). A block's window test is the first write of
+its verdict array, and the grid's mask is the first inter verdict, reshaped,
+with later ones ANDed into it.
 
 Most csi blocks are decided from their margins before anything is counted.
 A community-preserving candidate only permutes the second graph's slots within
@@ -88,7 +94,7 @@ import numpy as np
 
 from .errors import CommatchError, EmptyAmbiguitySetError, ParameterError, SizeGuardError
 from .graphgen import MatchingInstance, _stream
-from .permutation import Labeling, Permutation
+from .permutation import Labeling, _unchecked
 from .typicality import count_windows, default_epsilon
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -197,7 +203,7 @@ def _onehot_table(k: int) -> np.ndarray:
 def _onehot_rows(k: int, ranks: Optional[np.ndarray]) -> np.ndarray:
     """Rows of `_onehot_table(k)` at these lex ranks; the shared table itself
     when ranks is None."""
-    return _onehot_table(k) if ranks is None else _onehot_table(k)[ranks]
+    return _onehot_table(k) if ranks is None else np.take(_onehot_table(k), ranks, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +240,9 @@ def _lex_rank(rho: Sequence[int]) -> int:
 
 
 def _decode(rows: np.ndarray) -> tuple[Labeling, ...]:
-    """Labelings of label -> vertex rows, in row order."""
-    return tuple(Permutation(tuple(inv)) for inv in np.argsort(rows, axis=1).tolist())
+    """Labelings of label -> vertex rows, in row order. Rows come from the
+    permutation tables, so each is a bijection and is not checked again."""
+    return tuple(map(_unchecked, map(tuple, np.argsort(rows, axis=1).tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -352,31 +359,41 @@ def _hot_cells(windows: dict[tuple, tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted({xy for xset, yset in windows for xy in product(xset, yset)})
 
 
-def _within(ok: np.ndarray, hot: dict[tuple[int, int], np.ndarray],
-            windows: dict[tuple, tuple]) -> None:
-    """ok &= every window holding on its sum of the hot counts hot[x, y];
-    window bounds are ints or arrays broadcast against the counts."""
-    for (xset, yset), (wlo, whi) in windows.items():
+def _within(hot: dict[tuple[int, int], np.ndarray], windows: dict[tuple, tuple],
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Whether every window holds on its sum of the hot counts hot[x, y], as a
+    bool array: out when given, else a new one, written first by the first
+    window's lower test. Window bounds are ints or arrays broadcast against
+    the counts, and windows is not empty. A sum over several cells is a new
+    array, so no count array that another window reads is overwritten."""
+    for k, ((xset, yset), (wlo, whi)) in enumerate(windows.items()):
         cells = list(product(xset, yset))
         s = hot[cells[0]]
         for xy in cells[1:]:
             s = s + hot[xy]
-        ok &= s >= wlo
-        ok &= s <= whi
+        if k:
+            out &= s >= wlo
+        else:
+            out = np.greater_equal(s, wlo, out=out)
+        out &= s <= whi
+    return out
 
 
 def _intra_mask(a: np.ndarray, b: np.ndarray,
                 windows: dict[tuple, tuple[int, int]]) -> np.ndarray:
     """Typicality mask of one intra block over the rows of `_perm_table(k)`,
-    from the block's (k, k) value matrices a (labels) and b (vertices)."""
+    from the block's (k, k) value matrices a (labels) and b (vertices).
+
+    Hot cell (x, y) counts the pair slots with a = x whose cell of b under the
+    row holds y: an int8 gather of b == y at the row's cells of only the slots
+    with a = x, summed in int16 (a count is at most k(k-1)/2).
+    """
     s1, s2 = _pair_slots(len(a))
     xv = a[s1, s2]
-    gathered = b.ravel()[_pair_cells(len(a))]  # (R, S)
-    hot = {(x, y): np.count_nonzero((gathered == y) & (xv == x), axis=1)
+    cells = _pair_cells(len(a))  # (R, S)
+    hot = {(x, y): (b == y).astype(np.int8).ravel()[cells[:, xv == x]].sum(axis=1, dtype=np.int16)
            for x, y in _hot_cells(windows)}
-    ok = np.ones(len(gathered), dtype=bool)
-    _within(ok, hot, windows)
-    return ok
+    return _within(hot, windows)
 
 
 # Float32 elements of one (R_i, chunk) count array in _inter_mask.
@@ -391,19 +408,22 @@ def _inter_mask(a: np.ndarray, b: np.ndarray, e_i: np.ndarray, e_j: np.ndarray,
 
     Hot cell (x, y) counts
     sum_{q1,q2} 1{A[q1,q2]=x} 1{B[rho_i(q1), rho_j(q2)]=y}
-    = (E_i @ kron(1{A=x}, 1{B=y}) @ E_j^T)[rho_i, rho_j]; every product and
-    partial sum is a small integer, so float32 is exact. rho_j is processed
-    in chunks so no more than a few (R_i, chunk) count arrays are alive at
-    once.
+    = (E_i @ K @ E_j^T)[rho_i, rho_j] with K = 1{A=x} (x) 1{B=y}, the
+    Kronecker product, formed by one broadcast &: K[q1*k_i + p1, q2*k_j + p2]
+    = 1{A[q1,q2]=x} 1{B[p1,p2]=y}. Every product and partial sum is a small
+    integer, so float32 is exact. rho_j is processed in chunks so no more than
+    a few (R_i, chunk) count arrays are alive at once, and each chunk's window
+    test writes its columns of the mask.
     """
-    ri, rj = len(e_i), len(e_j)
-    left = {(x, y): e_i @ np.kron(a == x, b == y).astype(np.float32)
+    (ki, kj), ri, rj = a.shape, len(e_i), len(e_j)
+    left = {(x, y): e_i @ ((a == x)[:, None, :, None] & (b == y)[None, :, None, :])
+            .reshape(ki * ki, kj * kj).astype(np.float32)
             for x, y in _hot_cells(windows)}  # (R_i, k_j^2) each
-    ok = np.ones((ri, rj), dtype=bool)
+    ok = np.empty((ri, rj), dtype=bool)
     step = max(1, _INTER_CHUNK // ri)
     for c0 in range(0, rj, step):
         ej_t = e_j[c0:c0 + step].T
-        _within(ok[:, c0:c0 + step], {xy: m @ ej_t for xy, m in left.items()}, windows)
+        _within({xy: m @ ej_t for xy, m in left.items()}, windows, ok[:, c0:c0 + step])
     return ok
 
 
@@ -486,12 +506,19 @@ def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
     c = len(labels_of)
     perms = [_perm_table(len(g)) for g in labels_of]
     ranks: list[Optional[np.ndarray]] = [None] * c
-    g1, g2 = inst.g1_values, inst.g2_values
+    if not todo:  # every block passes on its margins
+        return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, ranks=ranks, mask=None)
+    # both graphs with rows and columns in axis order, labels (vertices)
+    # ascending within each axis: every block is a slice of these
+    labels, verts = np.concatenate(labels_of), np.concatenate(verts_of)
+    g1 = inst.g1_values[labels[:, None], labels]
+    g2 = inst.g2_values[verts[:, None], verts]
+    ends = list(accumulate(len(g) for g in labels_of))
+    span = [slice(e - len(g), e) for g, e in zip(labels_of, ends)]
 
     def values(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The block's value matrices (labels, vertices)."""
-        return (g1[labels_of[i][:, None], labels_of[j]],
-                g2[verts_of[i][:, None], verts_of[j]])
+        return g1[span[i], span[j]], g2[span[i], span[j]]
 
     # A candidate passes only when every block does, so each undecided intra
     # block first cuts its axis down to its survivors (kept in lex order, so
@@ -500,18 +527,28 @@ def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
     for i, j, binding in todo:
         if i == j:
             ranks[i] = np.flatnonzero(_intra_mask(*values(i, i), binding))
-            perms[i] = perms[i][ranks[i]]
+            perms[i] = np.take(perms[i], ranks[i], axis=0)
             if not len(ranks[i]):
                 break
     inter = [(i, j, binding) for i, j, binding in todo if i != j]
+    shape = tuple(len(p) for p in perms)
     mask = None
-    if inter and all(len(p) for p in perms):  # an axis that kept nothing leaves no pair
-        mask = np.ones(tuple(len(p) for p in perms), dtype=bool)
+    if inter and all(shape):  # an axis that kept nothing leaves no pair
+        # The first verdict, reshaped, is the mask; later ones AND into it,
+        # in place once it spans the grid.
         for i, j, binding in inter:
             a, v = values(i, j)
             m = _inter_mask(a, v, _onehot_rows(a.shape[0], ranks[i]),
                             _onehot_rows(a.shape[1], ranks[j]), binding)
-            mask &= m.reshape(tuple(mask.shape[ax] if ax in (i, j) else 1 for ax in range(c)))
+            m = m.reshape(tuple(shape[ax] if ax in (i, j) else 1 for ax in range(c)))
+            if mask is None:
+                mask = m
+            elif mask.shape == shape:
+                mask &= m
+            else:
+                mask = mask & m
+        if mask.shape != shape:
+            mask = np.broadcast_to(mask, shape).copy()
     return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, ranks=ranks, mask=mask)
 
 
@@ -616,7 +653,7 @@ def _decode_cell(grid: _Grid, cell: Sequence[int]) -> Labeling:
         verts = verts.tolist()
         for a, q in zip(labels.tolist(), perms[r].tolist()):
             mapping[verts[q]] = a
-    return Permutation(tuple(mapping))
+    return _unchecked(tuple(mapping))
 
 
 # -- public constructors ------------------------------------------------------
@@ -784,9 +821,8 @@ def _wsi_count(inst: MatchingInstance, asg: np.ndarray, rows: np.ndarray,
     for r0 in range(0, len(rows), step):
         p = perms[rows[r0:r0 + step]]
         g = np.take(inst.g2_values, p[:, s1] * n + p[:, s2])
-        fit = np.ones((len(p),) + tot.shape, dtype=bool)
-        _within(fit, {(0, y): ((g == y).astype(np.float32) @ w).reshape(fit.shape)
-                      for y in hot_ys}, windows)
+        fit = _within({(0, y): ((g == y).astype(np.float32) @ w).reshape((len(p),) + tot.shape)
+                       for y in hot_ys}, windows)
         # typical: every (block, x) column group passes under some assignment
         ok[r0:r0 + step] = fit.all(axis=1).any(axis=1)
     return ok

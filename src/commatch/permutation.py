@@ -60,6 +60,14 @@ class Permutation:
         return cls(tuple(range(n)))
 
 
+def _unchecked(mapping: tuple[int, ...]) -> Permutation:
+    """The Permutation of an image tuple already known to be a bijection of
+    0..n-1 (a row of a permutation table, say), without the check."""
+    p = object.__new__(Permutation)
+    p.__dict__["mapping"] = mapping  # the field is frozen against setattr
+    return p
+
+
 # A labeling assigns labels {0..n-1} to vertices {0..n-1}; structurally it is
 # just a permutation (mapping[vertex] = label), so the type is shared.
 Labeling = Permutation

@@ -684,6 +684,37 @@ def test_child_loads_only_its_subcommands_modules(tmp_path, model_c2, argv, exit
     assert ("fractions" in modules) == (argv[0] == "verify")
 
 
+def test_handlers_resolve_their_modules_once_per_process(tmp_path, model_c2, monkeypatch):
+    # after a first run of each command, later runs import nothing
+    inst = tmp_path / "inst.json"
+    argvs = [["generate", "--model", model_c2, "--out", str(inst)],
+             ["match", "--input", str(inst), "--eps", "1.0", "--out", str(tmp_path / "m.json")],
+             ["campaign", "--model", model_c2, "--n", "6", "--trials", "2",
+              "--out", str(tmp_path / "camp")],
+             ["scan", "--model", model_c2, "--n-list", "8", "--out", str(tmp_path / "s.csv")]]
+    for argv in argvs:
+        assert main(argv) == 0
+    outputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    relative = []
+    builtin_import = __import__
+
+    def recording(name, globals=None, locals=None, fromlist=(), level=0):
+        if level:
+            relative.append(name)
+        return builtin_import(name, globals, locals, fromlist, level)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a handler imported a module again")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.importlib, "import_module", refuse)
+        m.setattr("builtins.__import__", recording)
+        for argv in argvs:
+            assert main(argv) == 0
+    assert relative == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == outputs
+
+
 def test_campaign_requires_out(model_c2, capsys):
     assert main(["campaign", "--model", model_c2, "--n", "6", "--trials", "2"]) == 2
     assert "the following arguments are required: --out" in capsys.readouterr().err

@@ -140,6 +140,79 @@ def test_csi_full_grid_matches_scalar_test(sizes, joint):
         assert {p.mapping for p in ambiguity_set_csi(inst, eps=eps)} == want, eps
 
 
+# An l = 3 joint whose blocks bind windows on sums of several hot cells next
+# to windows on single cells that share their counts.
+_SHARED_COUNTS = np.array([[0.15, 0.15, 0.1], [0.15, 0.1, 0.1], [0.1, 0.1, 0.05]])
+
+
+def _scalar_set(inst, eps):
+    """The csi set by the scalar block test over every community-preserving
+    labeling."""
+    return {sigma.mapping for sigma in _preserving(inst)
+            if blocks_jointly_typical(_blocks(inst, sigma), inst.model.joint, eps)}
+
+
+def _counted_windows(monkeypatch):
+    """Record the binding windows of every counted intra and inter block."""
+    seen = []
+    intra, inter = matcher._intra_mask, matcher._inter_mask
+
+    def intra_spy(a, b, windows):
+        seen.append(("intra", list(windows)))
+        return intra(a, b, windows)
+
+    def inter_spy(a, b, e_i, e_j, windows):
+        seen.append(("inter", list(windows)))
+        return inter(a, b, e_i, e_j, windows)
+
+    monkeypatch.setattr(matcher, "_intra_mask", intra_spy)
+    monkeypatch.setattr(matcher, "_inter_mask", inter_spy)
+    return seen
+
+
+@pytest.mark.parametrize("sizes, eps, seed", [((4, 4), 0.2, 2), ((4, 4), 0.25, 5),
+                                              ((4, 3), 0.3, 2), ((3, 3, 3), 0.25, 4)])
+def test_l3_windows_sharing_counts_match_scalar_test(monkeypatch, sizes, eps, seed):
+    # a window on a sum of hot counts must not write into the count arrays
+    # that later windows of the same block read
+    inst = _instance(seed=seed, sizes=sizes, joint=_SHARED_COUNTS)
+    seen = _counted_windows(monkeypatch)
+    got = {p.mapping for p in ambiguity_set_csi(inst, eps=eps)}
+    assert got == _scalar_set(inst, eps)
+    assert any(len(keys) > 1 and any(len(x) * len(y) > 1 for x, y in keys)
+               for _, keys in seen)
+
+
+@pytest.mark.parametrize("sizes, joint, eps, seed", [
+    ((4, 4), dsbs_joint(0.1), 0.3, 0),
+    ((4, 3), dsbs_joint(0.1), 0.3, 1),
+    ((3, 3, 3), _SHARED_COUNTS, 0.25, 4),
+], ids=["dsbs44", "dsbs43", "shared333"])
+def test_inter_chunks_give_the_same_set(monkeypatch, sizes, joint, eps, seed):
+    # chunks of rho_j as small as one column write the same mask
+    inst = _instance(seed=seed, sizes=sizes, joint=joint)
+    seen = _counted_windows(monkeypatch)
+    whole = ambiguity_set_csi(inst, eps=eps)
+    assert whole.grid.mask is not None and any(kind == "inter" for kind, _ in seen)
+    want = _scalar_set(inst, eps)
+    assert {p.mapping for p in whole} == want
+    for chunk in (1, 7, 50):
+        monkeypatch.setattr(matcher, "_INTER_CHUNK", chunk)
+        s = ambiguity_set_csi(inst, eps=eps)
+        assert np.array_equal(s.grid.mask, whole.grid.mask), chunk
+        assert {p.mapping for p in s} == want
+
+
+def test_k7_intra_block_matches_the_oracle(monkeypatch):
+    # one community of 7: the intra block is the only block, counted over
+    # all 5,040 rows
+    inst = _instance(seed=0, sizes=(7,), joint=dsbs_joint(0.1))
+    seen = _counted_windows(monkeypatch)
+    got = ambiguity_set_csi(inst, eps=0.2)
+    assert seen == [("intra", [((1,), (1,))])] and len(got) == 180
+    assert {p.mapping for p in got} == {p.mapping for p in unrestricted_csi_labelings(inst, 0.2)}
+
+
 @pytest.mark.parametrize("sizes", [(5, 5), (6, 6)])
 @pytest.mark.parametrize("joint", [copy_joint(2), dsbs_joint(0.1)], ids=["copy", "dsbs"])
 def test_csi_grid_sample_matches_scalar_test(sizes, joint):
@@ -452,6 +525,28 @@ def test_perm_tables_are_shared_and_read_only():
     s1, s2 = _pair_slots(4)
     b = np.arange(16).reshape(4, 4)
     assert np.array_equal(b.ravel()[cells], b[perms[:, s1], perms[:, s2]])
+
+
+@pytest.mark.parametrize("membership", [None, (0, 1, 0, 1, 0, 1, 0, 1)],
+                         ids=["contiguous", "alternating"])
+def test_decoding_members_runs_no_validation(monkeypatch, membership):
+    # members are decoded from permutation-table rows, which are bijections,
+    # so neither iteration nor a pick runs Permutation's check
+    inst = _instance(seed=3, sizes=(4, 4), joint=dsbs_joint(0.1), membership=membership)
+    s = ambiguity_set_csi(inst, eps=0.3)
+    assert s.grid.mask is not None and len(s) == 246
+
+    def refuse(self):
+        raise AssertionError("a decoded member was validated")
+
+    with monkeypatch.context() as m:
+        m.setattr(Permutation, "__post_init__", refuse)
+        members = list(s)
+        picked = select_labeling(s, 5)
+    assert len(members) == len(s) and picked in members
+    for p in members:
+        assert type(p) is Permutation and p == Permutation(p.mapping)
+    assert members == sorted(members, key=lambda p: p.inverse().mapping)
 
 
 def test_truth_index_outside_the_grid():
