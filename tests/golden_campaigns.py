@@ -29,6 +29,10 @@ It covers dsbs(0.1), copy and uniform product models at (3,3), (4,3),
 csi configurations of the bench's tight campaigns, and an l = 3 copy model
 whose blocks bind several windows each.
 
+A sixth table records `sample_pair` draws: the sha256 of each graph's value
+matrix for the community layouts of the bench's campaigns and one
+alternating layout, at both master seeds and at a seed of 2^63 or more.
+
 Regenerate the committed file with
 
     PYTHONPATH=src python tests/golden_campaigns.py
@@ -188,6 +192,22 @@ MASKS.update({
     "copy3/5-5/eps0.25/seed1": ("copy3", (5, 5), 0.25, 1, ("csi",)),
 })
 
+# `sample_pair` draws: name -> (joint, sizes, label-side membership, None for
+# the contiguous layout); each is drawn at every seed of PAIR_SEEDS
+PAIRS = {
+    "copy/4-4": ("copy", (4, 4), None),
+    "copy/5-5": ("copy", (5, 5), None),
+    "copy/6-6": ("copy", (6, 6), None),
+    "ind/5-5": ("ind", (5, 5), None),
+    "d/3-3-3-3": ("d", (3, 3, 3, 3), None),
+    "d/4-4-4": ("d", (4, 4, 4), None),
+    "d/6-6": ("d", (6, 6), None),
+    "d/3-3": ("d", (3, 3), None),
+    "d/4-3": ("d", (4, 3), None),
+    "d/4-4-alt": ("d", (4, 4), (0, 1, 0, 1, 0, 1, 0, 1)),
+}
+PAIR_SEEDS = SEEDS + (2**63 + 5,)
+
 
 def _save_models(work: Path) -> dict[str, str]:
     """Write every model of MODELS to work; the path of each, by key."""
@@ -295,6 +315,22 @@ def mask_digests() -> dict[str, dict[str, str]]:
     return out
 
 
+def pair_digests() -> dict[str, dict[str, str]]:
+    """sha256 of both graphs' value matrices of every golden `sample_pair`
+    draw."""
+    out = {}
+    for name, (joint, sizes, membership) in PAIRS.items():
+        model, layout = homogeneous_model(MASK_JOINTS[joint], sizes)
+        if membership is not None:
+            layout = CommunityLayout(sizes=sizes, membership=membership)
+        for seed in PAIR_SEEDS:
+            pair = sample_pair(model, layout, seed)
+            out[f"{name}/seed{seed}"] = {
+                side: hashlib.sha256(np.ascontiguousarray(g, dtype="<i8").tobytes()).hexdigest()
+                for side, g in (("g1", pair.g1), ("g2", pair.g2))}
+    return out
+
+
 def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
@@ -304,11 +340,11 @@ def write_golden() -> None:
         doc = {"versions": versions(), "campaigns": campaign_digests(Path(tmp)),
                "matches": match_digests(Path(tmp)),
                "documents": document_digests(Path(tmp)), "texts": text_digests(),
-               "masks": mask_digests()}
+               "masks": mask_digests(), "pairs": pair_digests()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(doc['campaigns'])} campaign, {len(doc['matches'])} match, "
           f"{len(doc['documents'])} document, {len(doc['texts'])} text and "
-          f"{len(doc['masks'])} mask digests "
+          f"{len(doc['masks'])} mask and {len(doc['pairs'])} pair digests "
           f"to {GOLDEN}", file=sys.stderr)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from golden_campaigns import (GOLDEN, campaign_digests, document_digests, mask_digests,
-                              match_digests, text_digests, versions)
+                              match_digests, pair_digests, text_digests, versions)
 
 
 def _moved(want: dict, got: dict) -> list[str]:
@@ -37,3 +37,7 @@ def test_help_and_usage_digests_match_the_golden_file():
 
 def test_mask_digests_match_the_golden_file():
     _check("masks", mask_digests())
+
+
+def test_pair_digests_match_the_golden_file():
+    _check("pairs", pair_digests())
