@@ -92,7 +92,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CommatchError, EmptyAmbiguitySetError, ParameterError, SizeGuardError
+from .errors import EmptyAmbiguitySetError, ParameterError, SizeGuardError
 from .graphgen import MatchingInstance, _stream
 from .permutation import Labeling, _unchecked
 from .typicality import count_windows, default_epsilon
@@ -427,74 +427,61 @@ def _inter_mask(a: np.ndarray, b: np.ndarray, e_i: np.ndarray, e_j: np.ndarray,
     return ok
 
 
-def _csi_grids(insts: Sequence[MatchingInstance], eps: float, cap: int
-               ) -> Iterator[Union[_Grid, CommatchError]]:
-    """The csi grid of each instance, or the error that refuses it, built one
-    at a time as the caller asks.
+def _csi_sets(insts: Sequence[MatchingInstance], eps: float, cap: int
+              ) -> Iterator[AmbiguitySet]:
+    """The csi set of each instance, built one at a time as the caller asks.
 
-    The instances share their model and label-side map. Each is checked on
-    its own (community maps present, equal community sizes, the size guard);
-    then one margin fold over the instances that pass decides every block of
-    every one of them before any grid is counted.
+    The instances share their model and label-side map, so the call is
+    refused as a whole, before any set is built: when some instance lacks a
+    community map, when the two sides' community sizes differ in some
+    instance (the first such one is named), or by the size guard. Then one
+    margin fold over the instances decides every block of every one of them
+    before any grid is counted.
     """
-    refused = [ParameterError("csi matching needs community maps on both sides")
-               if inst.comm1_of_label is None or inst.comm2_of_vertex is None else None
-               for inst in insts]
-    live = [k for k, e in enumerate(refused) if e is None]
-    if not live:
-        yield from refused
-        return
-    first = insts[live[0]]
+    if any(inst.comm1_of_label is None or inst.comm2_of_vertex is None for inst in insts):
+        raise ParameterError("csi matching needs community maps on both sides")
+    first = insts[0]
     c, l = first.c, first.model.l
     labels_of = list(_label_groups(tuple(first.comm1_of_label), c))
     sizes = tuple(len(g) for g in labels_of)
-    comm2 = np.array([insts[k].comm2_of_vertex for k in live])  # (live, n)
+    comm2 = np.array([inst.comm2_of_vertex for inst in insts])  # (instances, n)
     # both sides' community sizes are equal where the two maps sort alike
-    differ = (np.sort(comm2, axis=1) != sorted(first.comm1_of_label)).any(axis=1).tolist()
-    total = math.prod(math.factorial(k) for k in sizes)
-    for k, bad in zip(live, differ):
-        if bad:
-            m = insts[k].comm2_of_vertex
-            i = next((i for i in range(c) if m.count(i) != sizes[i]), c)
-            refused[k] = ParameterError(f"community {i + 1} sizes differ between sides")
-        elif total > cap:
-            refused[k] = SizeGuardError(f"{total} candidate labelings exceed cap {cap}")
-    fold = [t for t, k in enumerate(live) if refused[k] is None]  # rows of comm2
-    if fold:
-        # Margins decide a block for every candidate or leave it to be
-        # counted; those of every instance are read before any counting.
-        comm2 = comm2[fold]
-        g = np.array([insts[live[t]].g1_values for t in fold]
-                     + [insts[live[t]].g2_values for t in fold])
-        comm = np.empty((2 * len(fold), comm2.shape[1]), dtype=comm2.dtype)
-        comm[:len(fold)], comm[len(fold):] = first.comm1_of_label, comm2
-        totals = _block_totals(g, comm, c, l)
-        slots = _slot_counts(sizes)
-        iu, ju, _ = _block_index(c)
-        lo, hi = count_windows(first.model.joint[iu, ju], eps, slots[:, None, None])
-        windows, all_pass, dead = _block_windows(totals[:len(fold)], totals[len(fold):],
-                                                 slots, lo, hi)
-        dead = dead.any(axis=1).tolist()
-        # vertices grouped by community, ascending within each
-        verts = np.argsort(comm2, axis=1, kind="stable")
-        ends = list(accumulate(sizes))
-    row_of = {live[t]: row for row, t in enumerate(fold)}
-    for k, error in enumerate(refused):
-        if error is not None:
-            yield error
-            continue
-        t = row_of[k]
-        verts_of = [verts[t, e - len(g):e] for g, e in zip(labels_of, ends)]
-        if dead[t]:  # no candidate passes: every axis keeps no row, and no block is counted
-            yield _Grid(labels_of=labels_of, verts_of=verts_of,
-                        perms=[_perm_table(len(g))[:0] for g in labels_of],
-                        ranks=[np.zeros(0, dtype=np.intp)] * c, mask=None)
-            continue
-        todo = [(int(iu[b]), int(ju[b]),
-                 {key: (int(wlo[t, b]), int(whi[t, b])) for key, (wlo, whi) in windows.items()
-                  if wlo[t, b] > 0 or whi[t, b] < slots[b]})
-                for b in np.flatnonzero(~all_pass[t]).tolist()]
-        yield _counted_grid(insts[k], labels_of, verts_of, todo)
+    differ = (np.sort(comm2, axis=1) != sorted(first.comm1_of_label)).any(axis=1)
+    if differ.any():
+        m = insts[int(differ.argmax())].comm2_of_vertex
+        i = next((i for i in range(c) if m.count(i) != sizes[i]), c)
+        raise ParameterError(f"community {i + 1} sizes differ between sides")
+    space = math.prod(math.factorial(k) for k in sizes)
+    if space > cap:
+        raise SizeGuardError(f"{space} candidate labelings exceed cap {cap}")
+    # Margins decide a block for every candidate or leave it to be counted;
+    # those of every instance are read before any counting.
+    t = len(insts)
+    g = np.array([inst.g1_values for inst in insts] + [inst.g2_values for inst in insts])
+    comm = np.empty((2 * t, comm2.shape[1]), dtype=comm2.dtype)
+    comm[:t], comm[t:] = first.comm1_of_label, comm2
+    totals = _block_totals(g, comm, c, l)
+    slots = _slot_counts(sizes)
+    iu, ju, _ = _block_index(c)
+    lo, hi = count_windows(first.model.joint[iu, ju], eps, slots[:, None, None])
+    windows, all_pass, dead = _block_windows(totals[:t], totals[t:], slots, lo, hi)
+    dead = dead.any(axis=1).tolist()
+    # vertices grouped by community, ascending within each
+    verts = np.argsort(comm2, axis=1, kind="stable")
+    ends = list(accumulate(sizes))
+    for k, inst in enumerate(insts):
+        verts_of = [verts[k, e - len(g):e] for g, e in zip(labels_of, ends)]
+        if dead[k]:  # no candidate passes: every axis keeps no row, and no block is counted
+            grid = _Grid(labels_of=labels_of, verts_of=verts_of,
+                         perms=[_perm_table(len(g))[:0] for g in labels_of],
+                         ranks=[np.zeros(0, dtype=np.intp)] * c, mask=None)
+        else:
+            todo = [(int(iu[b]), int(ju[b]),
+                     {key: (int(wlo[k, b]), int(whi[k, b])) for key, (wlo, whi) in windows.items()
+                      if wlo[k, b] > 0 or whi[k, b] < slots[b]})
+                    for b in np.flatnonzero(~all_pass[k]).tolist()]
+            grid = _counted_grid(inst, labels_of, verts_of, todo)
+        yield AmbiguitySet(grid, eps, "csi", space)
 
 
 def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
@@ -550,18 +537,6 @@ def _counted_grid(inst: MatchingInstance, labels_of: list[np.ndarray],
         if mask.shape != shape:
             mask = np.broadcast_to(mask, shape).copy()
     return _Grid(labels_of=labels_of, verts_of=verts_of, perms=perms, ranks=ranks, mask=mask)
-
-
-def _raised(result):
-    """result itself, unless it is the error an instance met: then raise it."""
-    if isinstance(result, CommatchError):
-        raise result
-    return result
-
-
-def _csi_grid(inst: MatchingInstance, eps: float, cap: int) -> _Grid:
-    """The csi grid of one instance: `_csi_grids` for one."""
-    return _raised(next(_csi_grids([inst], eps, cap)))
 
 
 def _grid_rows(grid: _Grid, idx: np.ndarray) -> np.ndarray:
@@ -664,12 +639,7 @@ def ambiguity_set_csi(inst: MatchingInstance,
     """All typical community-preserving candidates given community maps on
     both sides; `oracle.unrestricted_csi_labelings` scans all n! instead."""
     eps = default_epsilon(inst.n) if eps is None else eps
-    return _csi_set(_csi_grid(inst, eps, cap), eps)
-
-
-def _csi_set(grid: _Grid, eps: float) -> AmbiguitySet:
-    space = math.prod(math.factorial(len(g)) for g in grid.labels_of)
-    return AmbiguitySet(grid, eps, "csi", space)
+    return next(_csi_sets([inst], eps, cap))
 
 
 @lru_cache(maxsize=1 << 10)
@@ -862,12 +832,11 @@ def _wsi_mask(inst: MatchingInstance, asg: np.ndarray, passes: np.ndarray, undec
 
 
 def _wsi_sets(insts: Sequence[MatchingInstance], eps: float, cap: int
-              ) -> Iterator[Union[AmbiguitySet, CommatchError]]:
-    """The wsi set of each instance, or the error that refuses it, built one
-    at a time as the caller asks.
+              ) -> Iterator[AmbiguitySet]:
+    """The wsi set of each instance, built one at a time as the caller asks.
 
     The instances share their model and community sizes, hence the candidate
-    count: the size guard refuses all of them or none, before any assignment
+    count: the size guard refuses the call as a whole, before any assignment
     is built. Then `_wsi_pairs` decides the assignment pairs of every
     instance, a group of instances per fold, and each instance walks and
     counts its own labelings.
@@ -877,9 +846,7 @@ def _wsi_sets(insts: Sequence[MatchingInstance], eps: float, cap: int
     labelings = math.factorial(first.n)
     count = labelings // math.prod(math.factorial(k) for k in sizes)
     if labelings * count > cap:
-        for _ in insts:
-            yield SizeGuardError(f"{labelings} candidates x {count} assignments exceed cap {cap}")
-        return
+        raise SizeGuardError(f"{labelings} candidates x {count} assignments exceed cap {cap}")
     asg = _assignments(sizes)
     iu, ju, _ = _block_index(first.c)
     slots = _slot_counts(sizes)
@@ -919,7 +886,7 @@ def ambiguity_set_wsi(inst: MatchingInstance,
     instance.
     """
     eps = default_epsilon(inst.n) if eps is None else eps
-    return _raised(next(_wsi_sets([inst], eps, cap)))
+    return next(_wsi_sets([inst], eps, cap))
 
 
 def select_labeling(s: AmbiguitySet, seed: int) -> Labeling:
@@ -952,16 +919,19 @@ class MatchResult:
 
 def match_instances(insts: Sequence[MatchingInstance], eps: Optional[float],
                     seeds: Sequence[int], cap: int = DEFAULT_CANDIDATE_CAP
-                    ) -> list[Union[MatchResult, CommatchError]]:
+                    ) -> list[Union[MatchResult, EmptyAmbiguitySetError]]:
     """`run_matching` over instances that share their model, sizes, mode and
     label-side map, instance k picking with seeds[k]: per instance its
-    MatchResult, or the CommatchError it met.
+    MatchResult, or the EmptyAmbiguitySetError its empty set met.
 
-    csi blocks of every instance are decided in one margin fold, and so are
-    the wsi assignment pairs (in groups of instances, `_wsi_pairs`); each set
-    is then built, picked from and dropped before the next is built, so at
-    most one is held at a time. wall_time_ms runs from the call's start to
-    the instance's result.
+    A job refused before any set exists (no community maps, community sizes
+    that differ between the sides, the size guard) cannot differ between such
+    instances, so it is raised once for the call. csi blocks of every
+    instance are decided in one margin fold, and so are the wsi assignment
+    pairs (in groups of instances, `_wsi_pairs`); each set is then built,
+    picked from and dropped before the next is built, so at most one is held
+    at a time. wall_time_ms runs from the call's start to the instance's
+    result.
     """
     t0 = time.perf_counter()
     if len(seeds) != len(insts):
@@ -975,26 +945,17 @@ def match_instances(insts: Sequence[MatchingInstance], eps: Optional[float],
         raise ParameterError("instances matched together share model, sizes, mode "
                              "and label-side map")
     eps = default_epsilon(first.n) if eps is None else eps
-    if first.mode == "csi":
-        sets = (g if isinstance(g, CommatchError) else _csi_set(g, eps)
-                for g in _csi_grids(insts, eps, cap))
-    else:
-        sets = _wsi_sets(insts, eps, cap)
-    out: list[Union[MatchResult, CommatchError]] = []
-    for inst, seed, s in zip(insts, seeds, sets):
-        if not isinstance(s, CommatchError):
-            s = _caught(_match_result, inst, s, seed, t0)
-        out.append(s)
-    return out
+    sets = (_csi_sets if first.mode == "csi" else _wsi_sets)(insts, eps, cap)
+    return [_caught(_match_result, inst, s, seed, t0) for inst, seed, s in zip(insts, seeds, sets)]
 
 
 def _caught(fn, *args):
-    """fn(*args), or the CommatchError it raised, without its traceback: the
-    traceback's frames would keep fn's arguments (a set, say) alive as long
-    as the error."""
+    """fn(*args), or the EmptyAmbiguitySetError it raised, without its
+    traceback: the traceback's frames would keep fn's arguments (a set, say)
+    alive as long as the error."""
     try:
         return fn(*args)
-    except CommatchError as e:
+    except EmptyAmbiguitySetError as e:
         return e.with_traceback(None)
 
 
@@ -1022,4 +983,7 @@ def run_matching(inst: MatchingInstance,
                  cap: int = DEFAULT_CANDIDATE_CAP) -> MatchResult:
     """Build the mode's ambiguity set, pick a member, score against the truth:
     `match_instances` for one instance, raising the error it met."""
-    return _raised(match_instances([inst], eps, [seed], cap)[0])
+    (result,) = match_instances([inst], eps, [seed], cap)
+    if isinstance(result, EmptyAmbiguitySetError):
+        raise result
+    return result

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from commatch.matcher import (
     DEFAULT_CANDIDATE_CAP,
     AmbiguitySet,
     _block_windows,
-    _csi_grid,
     _Grid,
     _lex_rank,
     _onehot_table,
@@ -220,7 +220,7 @@ def test_csi_grid_sample_matches_scalar_test(sizes, joint):
     # per-community lex ranks, decoded on the eps = 1 grid, which keeps every
     # row; at each eps the set's grid may keep fewer
     inst = _instance(seed=3, sizes=sizes, joint=joint)
-    full = _csi_grid(inst, 1.0, DEFAULT_CANDIDATE_CAP)
+    full = ambiguity_set_csi(inst, 1.0).grid
     assert full.ranks == [None] * len(sizes)
     rng = np.random.default_rng(sum(sizes))
     sample = {tuple(int(rng.integers(math.factorial(k))) for k in sizes) for _ in range(80)}
@@ -243,7 +243,7 @@ def test_csi_grid_keeps_float_boundary_counts():
     # passes, because abs(5 / 25 - 0.5) <= 0.3 holds in float64
     assert abs(5 / 25 - 0.5) <= 0.3
     inst = _instance(seed=0, sizes=(5, 5), joint=copy_joint(2))
-    grid = _csi_grid(inst, 0.3, DEFAULT_CANDIDATE_CAP)
+    grid = ambiguity_set_csi(inst, 0.3).grid
     rng = np.random.default_rng(7)
     on_boundary = 0
     for _ in range(300):
@@ -407,7 +407,7 @@ def test_dead_block_gives_pruned_empty_grid(monkeypatch):
 def _intra_survivors(inst, eps, i):
     """Lex ranks of the permutations of community i whose intra block is
     typical, each tried in a labeling that keeps the other communities fixed."""
-    full = _csi_grid(inst, 1.0, DEFAULT_CANDIDATE_CAP)
+    full = ambiguity_set_csi(inst, 1.0).grid
     keep = []
     for r in range(len(full.perms[i])):
         sigma = _labeling_at(full, tuple(r if ax == i else 0 for ax in range(inst.c)))
@@ -467,7 +467,7 @@ def test_an_axis_without_intra_survivors_empties_the_set(monkeypatch):
 def test_labelings_failing_an_intra_block_are_not_in_the_set():
     inst = _instance(seed=3, sizes=(6, 6), joint=dsbs_joint(0.1))
     s = ambiguity_set_csi(inst, eps=0.3)
-    full = _csi_grid(inst, 1.0, DEFAULT_CANDIDATE_CAP)
+    full = ambiguity_set_csi(inst, 1.0).grid
     kept = s.grid.ranks[0].tolist()
     other = int(s.grid.ranks[1][0])  # a survivor of community 2
     assert 0 < len(kept) < 720
@@ -551,7 +551,7 @@ def test_decoding_members_runs_no_validation(monkeypatch, membership):
 
 def test_truth_index_outside_the_grid():
     inst = _instance(seed=1)
-    grid = _csi_grid(inst, 0.3, DEFAULT_CANDIDATE_CAP)
+    grid = ambiguity_set_csi(inst, 0.3).grid
     # swap a label of community 1 with one of community 2
     ltv = list(inst.sealed_truth().inverse().mapping)
     ltv[0], ltv[3] = ltv[3], ltv[0]
@@ -950,6 +950,55 @@ def test_candidate_cap_guard():
         ambiguity_set_wsi(_instance(seed=0, mode="wsi"), eps=0.3, cap=10)
 
 
+def _moved_vertex(inst):
+    """inst with one vertex moved from community 0 to community 1 on the
+    vertex side only, so the two sides' community sizes differ."""
+    comm2 = list(inst.comm2_of_vertex)
+    comm2[comm2.index(0)] = 1
+    return dataclasses.replace(inst, comm2_of_vertex=tuple(comm2))
+
+
+# csi jobs refused before any set exists: name -> (instance, cap, error, message)
+CSI_REFUSALS = {
+    "no-maps": (lambda: dataclasses.replace(_instance(0, mode="wsi"), mode="csi"),
+                DEFAULT_CANDIDATE_CAP, ParameterError,
+                "csi matching needs community maps on both sides"),
+    "sizes-differ": (lambda: _moved_vertex(_instance(0)), DEFAULT_CANDIDATE_CAP,
+                     ParameterError, "community 1 sizes differ between sides"),
+    "cap": (lambda: _instance(0), 35, SizeGuardError, "36 candidate labelings exceed cap 35"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSI_REFUSALS))
+def test_csi_refusals_keep_their_type_and_message(name):
+    make, cap, error, message = CSI_REFUSALS[name]
+    inst = make()
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        ambiguity_set_csi(inst, 0.3, cap)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run_matching(inst, 0.3, 0, cap)
+
+
+def test_csi_set_of_a_wsi_instance_is_refused():
+    with pytest.raises(ParameterError, match="^csi matching needs community maps on both sides$"):
+        ambiguity_set_csi(_instance(0, mode="wsi"), 0.3)
+
+
+@pytest.mark.parametrize("mode, cap, error, message", [
+    ("csi", DEFAULT_CANDIDATE_CAP, ParameterError, "community 1 sizes differ between sides"),
+    ("wsi", 100, SizeGuardError, "720 candidates x 20 assignments exceed cap 100"),
+], ids=["csi", "wsi"])
+def test_a_refusal_refuses_the_whole_chunk(mode, cap, error, message):
+    # one csi instance whose sides' sizes differ, or a wsi chunk over the
+    # cap: the call raises the error once and gives no instance a result
+    model, lay = homogeneous_model(dsbs_joint(0.2), (3, 3))
+    insts = [anonymize(sample_pair(model, lay, s), mode, shuffle_seed=s) for s in range(3)]
+    if mode == "csi":
+        insts[1] = _moved_vertex(insts[1])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        matcher.match_instances(insts, 0.3, [0, 1, 2], cap)
+
+
 def test_everything_typical_at_eps_one():
     inst = _instance(seed=6)
     s = ambiguity_set_csi(inst, eps=1.0)
@@ -997,8 +1046,7 @@ def _random_mask_set(sizes, membership, seed):
     rng = np.random.default_rng(seed)
     if sizes is None:
         return _one_axis_set(5, rng.random(120) < 0.3)
-    grid = _csi_grid(_instance(seed, sizes=sizes, membership=membership), 1.0,
-                     DEFAULT_CANDIDATE_CAP)
+    grid = ambiguity_set_csi(_instance(seed, sizes=sizes, membership=membership), 1.0).grid
     grid = dataclasses.replace(grid, mask=rng.random(_mask(grid).shape) < 0.3)
     return AmbiguitySet(grid, 1.0, "csi", grid.mask.size)
 
@@ -1052,18 +1100,18 @@ def test_member_at_on_a_full_grid_is_the_cell(monkeypatch):
 def test_run_matching_counts_survivors_once(monkeypatch):
     inst = _instance(seed=5, sizes=(4, 4), joint=dsbs_joint(0.1))
     grids, counts = [], []
-    csi_grids, count_nonzero = matcher._csi_grids, np.count_nonzero
+    csi_sets, count_nonzero = matcher._csi_sets, np.count_nonzero
 
     def building(*args):
-        for grid in csi_grids(*args):
-            grids.append(grid)
-            yield grid
+        for s in csi_sets(*args):
+            grids.append(s.grid)
+            yield s
 
     def counting(a, *args, **kwargs):
         counts.append(np.size(a))
         return count_nonzero(a, *args, **kwargs)
 
-    monkeypatch.setattr(matcher, "_csi_grids", building)
+    monkeypatch.setattr(matcher, "_csi_sets", building)
     monkeypatch.setattr(np, "count_nonzero", counting)
     for eps, product in ((1.0, True), (0.3, False)):  # a full grid, then a pruned partial one
         grids.clear()
@@ -1120,8 +1168,7 @@ def _product_grid(sizes, membership, cut):
     to some of their lex ranks as an intra block would: cut "full" keeps every
     axis whole, "cut" keeps the odd ranks of axis 0, "cut-all" those of every
     axis, and "empty" keeps nothing on the last axis."""
-    grid = _csi_grid(_instance(2, sizes=sizes, membership=membership), 1.0,
-                     DEFAULT_CANDIDATE_CAP)
+    grid = ambiguity_set_csi(_instance(2, sizes=sizes, membership=membership), 1.0).grid
     assert grid.mask is None and grid.ranks == [None] * len(sizes)
     keep = {"full": [None] * len(sizes),
             "cut": [range(1, math.factorial(sizes[0]), 2)] + [None] * (len(sizes) - 1),
@@ -1170,7 +1217,7 @@ def test_default_schedule_copy_66_builds_no_mask():
     # its two 720-row axes, and no 518,400-cell mask is allocated
     inst = _instance(seed=0, sizes=(6, 6), joint=copy_joint(2))
     want = run_matching(inst, seed=11)  # warms the shared tables
-    assert _csi_grid(inst, default_epsilon(12), DEFAULT_CANDIDATE_CAP).mask is None
+    assert ambiguity_set_csi(inst, default_epsilon(12)).grid.mask is None
     tracemalloc.start()
     try:
         res = run_matching(inst, seed=11)
