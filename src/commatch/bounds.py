@@ -205,30 +205,6 @@ def _allocations(alpha: float, sizes: Sequence[int], n: int, step: float) -> np.
     return np.asarray(rows)
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Row sums of a (B, m) float64 array, each bit for bit what np.sum gives
-    for that row as a 1-d array: numpy adds fewer than 8 terms in order, up
-    to 128 in eight interleaved partial sums joined as a tree, and more by
-    summing halves (split at a multiple of 8)."""
-    m = a.shape[1]
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        return _sum_rows(a[:, :half]) + _sum_rows(a[:, half:])
-    if m < 8:
-        out = np.zeros(len(a))
-        for i in range(m):
-            out = out + a[:, i]
-        return out
-    r = a[:, :8].copy()
-    top = m - m % 8
-    for i in range(8, top, 8):
-        r += a[:, i:i + 8]
-    out = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for i in range(top, m):
-        out = out + a[:, i]
-    return out
-
-
 def _kl_to_mixtures(joint: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """D(joint || (1-b) PxPy + b joint) for a vector of mixture weights b,
     each value equal to the 1-d `np.sum` over that mixture's positive cells."""
@@ -241,7 +217,9 @@ def _kl_to_mixtures(joint: np.ndarray, betas: np.ndarray) -> np.ndarray:
     mk = mix[:, pos]
     with np.errstate(divide="ignore"):
         terms = pj * np.log2(pj / mk)
-    return np.where((mk == 0).any(axis=1), math.inf, _sum_rows(terms))
+    # terms is not C-contiguous, and a strided axis=1 sum adds in another
+    # order; contiguous rows are each summed as the 1-d np.sum sums them
+    return np.where((mk == 0).any(axis=1), math.inf, np.ascontiguousarray(terms).sum(axis=1))
 
 
 def achievability_profile(model: PairedEdgeModel,
@@ -267,6 +245,11 @@ def achievability_profile(model: PairedEdgeModel,
     step = grid_step if grid_step is not None else 1.0 / n
     if not 0 < step < math.inf:
         raise ParameterError(f"grid step must be positive and finite, got {step}")
+    # below the float64 spacing at the largest alpha, grid points stop being
+    # distinct and their count outgrows what an array can index
+    if step < math.ulp(1.0 - delta):
+        raise ParameterError(f"grid step {step!r} is below the float64 spacing "
+                             f"{math.ulp(1.0 - delta)!r} of the largest alpha {1.0 - delta!r}")
     log2n = math.log2(n)
     rows: list[AlphaRow] = []
     for alpha in map(float, _alpha_grid(1.0 - delta, step)):

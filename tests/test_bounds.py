@@ -197,6 +197,8 @@ def test_profile_rejects_bad_parameters():
         achievability_profile(COPY55_MODEL, COPY55_LAYOUT, 1, delta=0.1)
     with pytest.raises(ParameterError):
         achievability_profile(COPY55_MODEL, COPY55_LAYOUT, 10, delta=0.1, grid_step=-1.0)
+    with pytest.raises(ParameterError, match="below the float64 spacing"):
+        achievability_profile(COPY55_MODEL, COPY55_LAYOUT, 10, delta=0.1, grid_step=1e-20)
 
 
 def test_allocation_endpoints_always_reachable():

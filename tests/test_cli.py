@@ -751,6 +751,20 @@ def test_region_rows_match_api(tmp_path, model_c2, capsys):
         assert float(row["margin_bits"]) == ref.margin_bits
 
 
+@pytest.mark.parametrize("argv", [["region", "--n", "6", "--grid", "1e-300"],
+                                  ["scan", "--n-list", "10", "--grid", "1e-20"]],
+                         ids=["region", "scan"])
+def test_grid_steps_finer_than_float64_are_parameter_errors(tmp_path, capsys, argv):
+    # such a step once escaped as numpy's "Maximum allowed size exceeded"
+    path = tmp_path / "d33.json"
+    save_model(*homogeneous_model(dsbs_joint(0.1), (3, 3)), path)
+    assert main(argv + ["--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad parameters: grid step ")
+    assert captured.err.count("\n") == 1
+
+
 def test_converse_matches_api(tmp_path, model_c2, capsys):
     assert main(["converse", "--model", model_c2, "--n", "12"]) == 0
     doc = json.loads(capsys.readouterr().out)
