@@ -1,12 +1,13 @@
 """Experiment orchestration: deterministic, seeded runs emitting CSV and JSON.
 
-Every serialized output embeds the tool version and a hash of the resolved
-configuration, and contains nothing nondeterministic: identical flags give
-byte-identical files (wall-clock timings go to stderr only). Campaign trials
-derive their seeds from (master seed, trial index), so results do not depend
-on execution order. They run in chunks, each sampled in one pass and matched
-in one call, but errors stay per trial: a trial the matcher refuses gets its
-own error row, and the campaign goes on.
+Every serialized output but `verify`'s plain-text report embeds the tool
+version and a hash of the resolved configuration, and none contains anything
+nondeterministic: identical flags give byte-identical files (wall-clock
+timings go to stderr only). Campaign trials derive their seeds from (master
+seed, trial index), so results do not depend on execution order. They run in
+chunks, each sampled in one pass and matched in one call. A chunk the matcher
+refuses gives each of its trials the same error row, an empty ambiguity set
+is the only error one trial meets on its own, and the campaign goes on.
 
 Exit codes: 0 success, 1 runtime failure (empty ambiguity set, failed verify
 checks), 2 validation/parameter and argument errors, 3 size-guard refusals;

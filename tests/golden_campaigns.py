@@ -3,8 +3,8 @@
 Each entry runs one campaign in-process through `cli.main` and records the
 sha256 of the CSV and of the summary JSON it writes. The configurations are
 those of the benchmark's campaign workloads (copied here, not imported) at two
-master seeds each, plus csi and wsi campaigns the size guard refuses trial by
-trial, csi campaigns whose eps leaves a dead block in some trials, wsi
+master seeds each, plus csi and wsi campaigns whose every chunk the size
+guard refuses, csi campaigns whose eps leaves a dead block in some trials, wsi
 campaigns whose eps leaves pairs of assignments undecided or dead, and csi
 campaigns whose grids count no inter block (every axis full, or some cut by
 its intra block).
