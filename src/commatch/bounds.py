@@ -245,11 +245,12 @@ def achievability_profile(model: PairedEdgeModel,
     step = grid_step if grid_step is not None else 1.0 / n
     if not 0 < step < math.inf:
         raise ParameterError(f"grid step must be positive and finite, got {step}")
-    # below the float64 spacing at the largest alpha, grid points stop being
-    # distinct and their count outgrows what an array can index
-    if step < math.ulp(1.0 - delta):
-        raise ParameterError(f"grid step {step!r} is below the float64 spacing "
-                             f"{math.ulp(1.0 - delta)!r} of the largest alpha {1.0 - delta!r}")
+    # below the float64 spacing at the largest alpha the grid's points are not
+    # all distinct, and far below it numpy cannot even size the grid
+    spacing = math.ulp(1.0 - delta)
+    if step < spacing:
+        raise ParameterError(f"grid step {step!r} is below the float64 spacing {spacing!r} "
+                             f"of the largest alpha {1.0 - delta!r}")
     log2n = math.log2(n)
     rows: list[AlphaRow] = []
     for alpha in map(float, _alpha_grid(1.0 - delta, step)):
